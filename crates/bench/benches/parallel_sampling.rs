@@ -1,7 +1,7 @@
 //! `parallel_sampling` bench: the candidate-weighting phase of Algorithm 1
 //! (every unexecuted edge weighed by an independent cut-off sampled run)
 //! at 1, 2, and 4 worker threads over the XMark workload, plus the
-//! partitioned staircase join on its own.
+//! staircase join's morsel-parallel arm on its own.
 //!
 //! The sequential/parallel runs weigh identical state and are verified to
 //! produce identical weights before timing. Expect ~1x on single-core
@@ -14,7 +14,7 @@ use rox_bench::scaling_threads::SamplingWorkload;
 use rox_bench::xmark_catalog;
 use rox_core::{Parallelism, RoxEnv};
 use rox_datagen::{xmark_query, XmarkConfig};
-use rox_ops::{step_join, step_join_partitioned, Axis, Cost};
+use rox_ops::{step_join, step_join_kernel, Axis, Cost, StepScratch};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -88,34 +88,32 @@ fn bench_partitioned_step_join(c: &mut Criterion) {
         })
     });
     for threads in [2usize, 4] {
+        let run = |cost: &mut Cost| {
+            let scratch = StepScratch {
+                par: Parallelism::Threads(threads),
+                ..StepScratch::default()
+            };
+            step_join_kernel(
+                &doc,
+                Axis::Descendant,
+                &auctions,
+                &bidders,
+                None,
+                scratch,
+                cost,
+            )
+        };
         let mut cost = Cost::new();
-        let got = step_join_partitioned(
-            &doc,
-            Axis::Descendant,
-            &auctions,
-            &bidders,
-            Parallelism::Threads(threads),
-            &mut cost,
-        );
         assert_eq!(
-            got.pairs, seq.pairs,
-            "partitioned join must match sequential"
+            run(&mut cost).pairs,
+            seq.pairs,
+            "morsel-parallel join must match sequential"
         );
+        assert_eq!(cost, seq_cost);
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("threads_{threads}")),
             &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    black_box(step_join_partitioned(
-                        &doc,
-                        Axis::Descendant,
-                        &auctions,
-                        &bidders,
-                        Parallelism::Threads(threads),
-                        &mut Cost::new(),
-                    ))
-                })
-            },
+            |b, _| b.iter(|| black_box(run(&mut Cost::new()))),
         );
     }
     group.finish();

@@ -16,43 +16,18 @@
 //! | Fig. 7 (document-size scaling)          | [`fig7`]   | `fig7_scaling` |
 //! | Fig. 8 (sample-size overhead)           | [`fig8`]   | `fig8_sample_size` |
 //! | Thread scaling (extension)              | [`scaling_threads`] | `fig_scaling_threads` |
-//! | Dense-join layouts (extension)          | [`joins`]  | `bench_joins` |
-//! | Engine serving layer (extension)        | [`engine`] | `bench_engine` |
-//! | Open-loop tail-latency serving (extension) | [`serving`] | `bench_serving` |
-//! | Plan revalidation & demotion (extension) | [`revalidation`] | `bench_revalidation` |
-//! | Staircase kernels (extension)           | [`staircase`] | `bench_staircase` |
-//! | Snapshot storage & buffer pool (extension) | [`storage`] | `bench_storage` |
 //!
-//! Every `BENCH_*.json` emitter embeds the [`machine_json`] fragment so a
-//! committed artifact records the hardware it was measured on.
+//! Engineering numbers (serving, storage, durability, operator kernels)
+//! live in the repository's one benchmark, `benchmark/run.sh`, not here.
 
 pub mod args;
-pub mod engine;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
-pub mod joins;
-pub mod recovery;
-pub mod revalidation;
 pub mod scaling_threads;
-pub mod serving;
 pub mod setup;
-pub mod staircase;
-pub mod storage;
 pub mod table2;
 pub mod table3;
 
 pub use setup::{dblp_catalog, xmark_catalog, DblpSetup};
-
-/// The `"machine"` fragment every `BENCH_*.json` emitter embeds: the
-/// logical core count the run saw and the size of the process-shared
-/// worker pool (benches that build their own pool additionally record
-/// their thread setting in their `config` object).
-pub fn machine_json() -> String {
-    format!(
-        "{{\"logical_cores\": {}, \"shared_pool_workers\": {}}}",
-        rox_par::Parallelism::Auto.threads(),
-        rox_par::WorkerPool::shared().workers()
-    )
-}

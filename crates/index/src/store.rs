@@ -167,26 +167,6 @@ impl IndexedStore {
         }))
     }
 
-    /// Install an already-decoded document (and optionally its decoded
-    /// indices) as resident — the bulk-preload path: a parallel snapshot
-    /// decode hands every document over at once instead of faulting each
-    /// on first touch. Counts as loads, exactly like the lazy path, and
-    /// is idempotent under races: the catalog's first fill wins, and an
-    /// index cell that was already initialized keeps its value.
-    pub fn install(&self, id: DocId, doc: Arc<Document>, indexes: Option<Arc<DocIndexes>>) {
-        self.loads.fetch_add(1, Ordering::Relaxed);
-        self.catalog.fill(id, doc);
-        if let Some(decoded) = indexes {
-            let cell = {
-                let mut map = self.indexes.write().expect("index cache poisoned");
-                Arc::clone(map.entry(id).or_default())
-            };
-            if cell.set(decoded).is_ok() {
-                self.loads.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// How many index builds have run so far. A shared store serving warm
     /// traffic must not advance this — see the engine's
     /// zero-redundant-work tests.
@@ -332,33 +312,6 @@ mod tests {
         store.indexes(id);
         assert_eq!(store.load_count(), 4);
         assert_eq!(store.build_count(), 0);
-    }
-
-    #[test]
-    fn install_preloads_without_faults_or_builds() {
-        let cat = Arc::new(Catalog::new());
-        let id = cat.reserve("pre.xml");
-        let doc = rox_xmldb::parse_document("pre.xml", "<a><b/><b/></a>").unwrap();
-        let idx = Arc::new(DocIndexes::build(&doc));
-        let source = Arc::new(MapSource {
-            docs: HashMap::new(), // an empty source: any fault would panic
-            stale: Default::default(),
-        });
-        let store = IndexedStore::with_source(Arc::clone(&cat), source);
-        store.install(id, Arc::clone(&doc), Some(Arc::clone(&idx)));
-        // Both touches are served from residency, never the source (an
-        // empty-source fault would panic).
-        assert_eq!(store.doc(id).uri(), "pre.xml");
-        assert!(Arc::ptr_eq(&store.indexes(id), &idx));
-        assert_eq!(store.build_count(), 0);
-        assert_eq!(store.load_count(), 2);
-        // Re-installing is a no-op for the index cell.
-        store.install(
-            id,
-            Arc::clone(&doc),
-            Some(Arc::new(DocIndexes::build(&doc))),
-        );
-        assert!(Arc::ptr_eq(&store.indexes(id), &idx));
     }
 
     #[test]

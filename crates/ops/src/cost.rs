@@ -73,9 +73,10 @@ pub fn choose_op(class: EdgeClass, n1: usize, n2: usize, mode: ExecMode) -> Edge
 }
 
 /// Physical kernel variants of the staircase join (see
-/// [`crate::staircase`]). All three produce bit-identical pairs, order,
-/// truncation, and cost charges; they differ only in how they *find*
-/// matches, so picking between them is purely a wall-clock decision.
+/// [`crate::staircase`]). Both produce bit-identical pairs, order,
+/// truncation, and cost charges; they differ only in how they *test*
+/// candidate membership, so picking between them is purely a wall-clock
+/// decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepKernel {
     /// The classic probe loop: walk the axis per context node and test
@@ -83,24 +84,12 @@ pub enum StepKernel {
     /// search, range-pruned). Zero-investment; the only kernel sampled
     /// (cut-off) execution uses.
     Probe,
-    /// One forward merge over the candidate list with galloping
-    /// (exponential search) per context node: only candidates inside the
-    /// context's subtree range are touched. Child/Attribute axes only.
-    /// Zero-investment.
-    Merge,
     /// The probe-loop walk with candidate membership answered by a
     /// [`PreSet`](rox_index::PreSet) bitset (one shift + mask instead of
     /// a binary search). Pays an `O(|S|)` set build unless the caller
     /// supplies a cached set, so full execution only.
     Bitset,
 }
-
-/// Merge-kernel engagement bound for Child/Attribute steps: the merge
-/// kernel gallops to each context's subtree range and touches only the
-/// candidates inside it, beating the per-child binary searches whenever
-/// the candidate list is not much larger than the context. Engaged while
-/// `|S| <= |C| * STEP_MERGE_FACTOR`.
-pub const STEP_MERGE_FACTOR: usize = 1;
 
 /// Bitset-kernel engagement bound: building (or resetting) the candidate
 /// membership bitset costs `O(|S|)`, amortized by the `|C| * fanout`
@@ -118,7 +107,6 @@ pub const STEP_BITSET_FACTOR: usize = 8;
 /// |---|---|
 /// | sampled (cut-off) execution | [`StepKernel::Probe`] — zero-investment, and the cut-off's incremental probe charging is native to the walk |
 /// | Descendant/Following/Preceding axes | [`StepKernel::Probe`] — these already scan a candidate range; there is no binary search to beat |
-/// | Child/Attribute, `\|S\| <= \|C\|·`[`STEP_MERGE_FACTOR`] | [`StepKernel::Merge`] |
 /// | any probing axis, `\|S\| <= \|C\|·`[`STEP_BITSET_FACTOR`] | [`StepKernel::Bitset`] |
 /// | otherwise | [`StepKernel::Probe`] — context too small to amortize anything |
 pub fn choose_step_kernel(
@@ -132,17 +120,25 @@ pub fn choose_step_kernel(
         return StepKernel::Probe;
     }
     match axis {
-        // Range-scan axes: the probe loop is already a merge.
+        // Range-scan axes: no membership probes to speed up.
         Axis::Descendant | Axis::DescendantOrSelf | Axis::Following | Axis::Preceding => {
             StepKernel::Probe
-        }
-        Axis::Child | Axis::Attribute if cands_len <= ctx_len * STEP_MERGE_FACTOR => {
-            StepKernel::Merge
         }
         _ if cands_len <= ctx_len * STEP_BITSET_FACTOR => StepKernel::Bitset,
         _ => StepKernel::Probe,
     }
 }
+
+/// Minimum probe-input tuples per worker thread for the morsel-parallel
+/// arms of the full-mode staircase and hash joins. A fan-out engages only
+/// once the probe input reaches **twice** this (1024 tuples — see
+/// [`Parallelism::effective_threads`](rox_par::Parallelism::effective_threads));
+/// below that the join runs as a single morsel on the calling thread,
+/// where the fan-out would cost more than it saves: dispatching a batch
+/// onto the always-on worker pool costs roughly a condvar wake plus atomic
+/// cursor claims (~1–3 µs), and at ~15–30 ns of probe work per tuple 512
+/// tuples ≈ 8–15 µs per worker — several times the dispatch cost.
+pub const MIN_PARTITION_INPUT: usize = 512;
 
 /// Drift thresholds of the guarded plan replay (`rox-core`'s guard
 /// module). A cached plan's recorded per-edge cardinalities are compared

@@ -23,53 +23,12 @@ pub struct JoinOut<T> {
     fully_processed: Option<u32>,
 }
 
-/// Upper bound on the speculative pair pre-allocation of
-/// [`JoinOut::with_limit`] when no cut-off bounds the output — keeps a
-/// huge context from reserving a huge buffer it may never fill.
+/// Upper bound on the speculative pair pre-allocation when no cut-off
+/// bounds the output — keeps a huge context from reserving a huge buffer
+/// it may never fill.
 const MAX_PREALLOC_PAIRS: usize = 4096;
 
 impl<T> JoinOut<T> {
-    /// Fresh output for a context of `ctx_len` tuples, with pair capacity
-    /// reserved up front: `min(limit, ctx_len)` when a cut-off is known
-    /// (a heuristic — output is bounded by `limit`, not `ctx_len`, so a
-    /// high-fan-out context can still grow the buffer), else `ctx_len`
-    /// capped at a sane default.
-    pub fn with_limit(ctx_len: usize, limit: Option<usize>) -> Self {
-        let cap = limit.unwrap_or(MAX_PREALLOC_PAIRS).min(ctx_len);
-        JoinOut {
-            pairs: Vec::with_capacity(cap),
-            truncated: false,
-            ctx_len,
-            fully_processed: None,
-        }
-    }
-
-    /// Fresh output for a context of `ctx_len` tuples (no cut-off known;
-    /// see [`JoinOut::with_limit`]).
-    pub fn new(ctx_len: usize) -> Self {
-        JoinOut::with_limit(ctx_len, None)
-    }
-
-    /// As [`JoinOut::with_limit`] over a buffer leased from `buf` (already
-    /// empty; capacity is topped up to the same reservation rule). The
-    /// caller returns `self.pairs` to its pool when done.
-    fn with_limit_buf(ctx_len: usize, limit: Option<usize>, mut buf: Vec<(u32, T)>) -> Self
-    where
-        T: Copy,
-    {
-        let cap = limit.unwrap_or(MAX_PREALLOC_PAIRS).min(ctx_len);
-        debug_assert!(buf.is_empty());
-        if buf.capacity() < cap {
-            buf.reserve(cap - buf.len());
-        }
-        JoinOut {
-            pairs: buf,
-            truncated: false,
-            ctx_len,
-            fully_processed: None,
-        }
-    }
-
     /// Emit one pair, charging it to `cost`; returns `true` when the limit
     /// has been reached (caller must stop).
     #[inline]
@@ -133,17 +92,21 @@ impl<T> JoinOut<T> {
 }
 
 impl JoinOut<Pre> {
-    /// As [`JoinOut::with_limit`] with the pair buffer leased from `pool`
-    /// (when given); the caller hands `self.pairs` back via
-    /// [`ScratchPool::give_pairs`] once consumed.
-    pub fn with_limit_pooled(
-        ctx_len: usize,
-        limit: Option<usize>,
-        pool: Option<&ScratchPool>,
-    ) -> Self {
-        match pool {
-            Some(pool) => JoinOut::with_limit_buf(ctx_len, limit, pool.lease_pairs()),
-            None => JoinOut::with_limit(ctx_len, limit),
+    /// Fresh output for a context of `ctx_len` tuples, its pair buffer
+    /// leased from `pool` when one is given (the caller hands `self.pairs`
+    /// back via [`ScratchPool::give_pairs`] once consumed). Capacity is
+    /// reserved up front: `min(limit, ctx_len)` when a cut-off is known
+    /// (a heuristic — output is bounded by `limit`, not `ctx_len`, so a
+    /// high-fan-out context can still grow the buffer), else `ctx_len`
+    /// capped at a sane default.
+    pub fn with_limit(ctx_len: usize, limit: Option<usize>, pool: Option<&ScratchPool>) -> Self {
+        let mut pairs = pool.map(ScratchPool::lease_pairs).unwrap_or_default();
+        pairs.reserve(limit.unwrap_or(MAX_PREALLOC_PAIRS).min(ctx_len));
+        JoinOut {
+            pairs,
+            truncated: false,
+            ctx_len,
+            fully_processed: None,
         }
     }
 }
@@ -155,7 +118,7 @@ mod tests {
     #[test]
     fn non_truncated_estimate_is_exact() {
         let mut cost = Cost::new();
-        let mut out = JoinOut::new(10);
+        let mut out = JoinOut::with_limit(10, None, None);
         for i in 0..5u32 {
             assert!(!out.emit(i, i * 10, usize::MAX, &mut cost));
             out.ctx_done(i);
@@ -167,7 +130,7 @@ mod tests {
     #[test]
     fn truncated_estimate_extrapolates() {
         let mut cost = Cost::new();
-        let mut out = JoinOut::new(100);
+        let mut out = JoinOut::with_limit(100, None, None);
         // 20 pairs produced while only the first 10 context tuples were seen.
         for i in 0..10u32 {
             out.emit(i, 0, 20, &mut cost);
@@ -182,7 +145,7 @@ mod tests {
     #[test]
     fn distinct_results_dedup_and_sort() {
         let mut cost = Cost::new();
-        let mut out = JoinOut::new(3);
+        let mut out = JoinOut::with_limit(3, None, None);
         out.emit(0, 9, usize::MAX, &mut cost);
         out.emit(1, 3, usize::MAX, &mut cost);
         out.emit(2, 9, usize::MAX, &mut cost);
@@ -192,7 +155,7 @@ mod tests {
 
     #[test]
     fn empty_context_is_safe() {
-        let out: JoinOut<u32> = JoinOut::new(0);
+        let out: JoinOut<u32> = JoinOut::with_limit(0, None, None);
         assert_eq!(out.estimate(), 0.0);
         assert_eq!(out.reduction_factor(), 1.0);
     }
@@ -201,12 +164,12 @@ mod tests {
     fn capacity_reserved_up_front() {
         // Cut-off known: reserve min(limit, ctx_len) so the sampling path
         // never reallocates.
-        let out: JoinOut<u32> = JoinOut::with_limit(1000, Some(64));
+        let out: JoinOut<u32> = JoinOut::with_limit(1000, Some(64), None);
         assert!(out.pairs.capacity() >= 64);
-        let small: JoinOut<u32> = JoinOut::with_limit(3, Some(64));
+        let small: JoinOut<u32> = JoinOut::with_limit(3, Some(64), None);
         assert!(small.pairs.capacity() >= 3);
         // No cut-off: ctx_len capped at the pre-allocation bound.
-        let unbounded: JoinOut<u32> = JoinOut::new(1 << 24);
+        let unbounded: JoinOut<u32> = JoinOut::with_limit(1 << 24, None, None);
         assert!(unbounded.pairs.capacity() <= MAX_PREALLOC_PAIRS * 2);
     }
 }

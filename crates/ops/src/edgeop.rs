@@ -18,10 +18,10 @@
 //! | edge kind  | mode    | operator                                         |
 //! |------------|---------|--------------------------------------------------|
 //! | step       | sampled | [`step_join`] with cut-off, caller-fixed outer   |
-//! | step       | full    | [`step_join_partitioned_scratch`], smaller side outer, kernel by [`choose_step_kernel`](crate::cost::choose_step_kernel()) |
-//! | value join | sampled | [`index_value_join_set_pooled`] with cut-off (0-invest) |
-//! | value join | full, skewed | [`index_value_join_set_pooled`], smaller side outer |
-//! | value join | full, balanced | [`hash_value_join_partitioned_with`](crate::partition::hash_value_join_partitioned_with()) (pooled) |
+//! | step       | full    | [`step_join_kernel`], smaller side outer, kernel by [`choose_step_kernel`](crate::cost::choose_step_kernel()), morsel-parallel under the [`Parallelism`] budget |
+//! | value join | sampled | index nested loop ([`index_value_join`](crate::valjoin::index_value_join())'s kernel entry) with cut-off (0-invest) |
+//! | value join | full, skewed | index nested loop, smaller side outer |
+//! | value join | full, balanced | hash join ([`hash_value_join`](crate::valjoin::hash_value_join())'s kernel entry), morsel-parallel probe |
 //!
 //! New operators (staircase variants, semijoin reducers, new axes) plug in
 //! here once and every phase — sampling included — picks them up.
@@ -29,10 +29,9 @@
 use crate::axis::Axis;
 use crate::cost::{choose_op, Cost};
 use crate::cutoff::JoinOut;
-use crate::partition::{hash_value_join_partitioned_pooled, step_join_partitioned_scratch};
 use crate::pool::ScratchPool;
-use crate::staircase::{naive_axis, step_join, StepScratch};
-use crate::valjoin::{filter_set, index_value_join_set_pooled};
+use crate::staircase::{naive_axis, step_join, step_join_kernel, StepScratch};
+use crate::valjoin::{filter_set, hash_value_join_kernel, index_value_join_kernel};
 use rox_index::{PreSet, SymbolTable, ValueIndex};
 use rox_par::{Parallelism, WorkerPool};
 use rox_xmldb::{Document, NodeKind, Pre};
@@ -51,7 +50,7 @@ pub enum EdgeClass {
 /// The physical operator the kernel chose for one edge execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EdgeOpKind {
-    /// Structural staircase join ([`step_join`] / its partitioned variant).
+    /// Structural staircase join ([`step_join`] / [`step_join_kernel`]).
     StepJoin,
     /// Index nested-loop value join probing the inner value index
     /// (zero-investment; the only value join sampling may use).
@@ -96,7 +95,7 @@ pub enum ExecMode {
         outer_is_v1: bool,
     },
     /// Full materialized execution; direction and operator are chosen by
-    /// cost, and the partitioned operator variants engage under the
+    /// cost, and the operators' morsel-parallel arms engage under the
     /// kernel's [`Parallelism`] budget.
     Full,
 }
@@ -138,10 +137,10 @@ pub struct EdgeOpCtx<'a> {
     pub kind1: NodeKind,
     /// Node kind of `v2`'s nodes.
     pub kind2: NodeKind,
-    /// Worker-thread budget for full-mode partitioned execution (ignored in
-    /// sampled mode — cut-off execution is inherently sequential).
+    /// Worker-thread budget for full-mode morsel-parallel execution (ignored
+    /// in sampled mode — cut-off execution is inherently sequential).
     pub par: Parallelism,
-    /// The worker pool the partitioned operators fan out on; `None` uses
+    /// The worker pool full-mode operators fan out on; `None` uses
     /// the process-shared pool. The engine passes its own pool here so
     /// intra-query fan-out and inter-query serving share one set of
     /// always-on threads.
@@ -214,24 +213,22 @@ pub struct DenseState<'a> {
 /// [`choose_op`](crate::cost::choose_op()) for the `(operator, direction)`
 /// decision, run the operator, and — in full mode — orient the produced
 /// pairs back into `(v1, v2)` order. All operator work is charged to
-/// `cost`, exactly as the underlying operator charges it.
-pub fn execute_edge_op(ctx: EdgeOpCtx<'_>, cost: &mut Cost) -> EdgeOpOut {
-    execute_edge_op_with(ctx, DenseState::default(), cost)
-}
-
-/// As [`execute_edge_op`] with prebuilt [`DenseState`] (cached bitsets /
-/// CSR tables from the caller's scratch arena). Bit-identical to the plain
-/// entry point in output, operator choice, and cost charges.
-pub fn execute_edge_op_with(
-    ctx: EdgeOpCtx<'_>,
-    dense: DenseState<'_>,
-    cost: &mut Cost,
-) -> EdgeOpOut {
+/// `cost`, exactly as the underlying operator charges it. `dense` carries
+/// the caller's cached bitsets / CSR tables / buffer pool
+/// (`DenseState::default()` builds everything on the fly); output,
+/// operator choice, and cost charges are identical either way.
+pub fn execute_edge_op(ctx: EdgeOpCtx<'_>, dense: DenseState<'_>, cost: &mut Cost) -> EdgeOpOut {
     let choice = choose_op(ctx.class, ctx.input1.len(), ctx.input2.len(), ctx.mode);
-    let (outer_doc, outer, inner, inner_index, inner_kind) = if choice.outer_is_v1 {
-        (ctx.doc1, ctx.input1, ctx.input2, ctx.index2, ctx.kind2)
+    // `inner_set` is the caller's cached membership bitset over the inner
+    // input, when it supplied one (the evaluation state's scratch arena).
+    let (outer_doc, outer, inner, inner_index, inner_kind, inner_set) = if choice.outer_is_v1 {
+        (
+            ctx.doc1, ctx.input1, ctx.input2, ctx.index2, ctx.kind2, dense.set2,
+        )
     } else {
-        (ctx.doc2, ctx.input2, ctx.input1, ctx.index1, ctx.kind1)
+        (
+            ctx.doc2, ctx.input2, ctx.input1, ctx.index1, ctx.kind1, dense.set1,
+        )
     };
     let rows = match choice.kind {
         EdgeOpKind::StepJoin => {
@@ -249,29 +246,17 @@ pub fn execute_edge_op_with(
                     step_join(outer_doc, ax, outer, inner, Some(limit), cost)
                 }
                 ExecMode::Full => {
-                    // The bitset kernel's candidate set is the *inner*
-                    // endpoint's membership set — the caller's cached one
-                    // when provided (the evaluation state's scratch
-                    // arena), else the kernel builds/pools its own.
-                    let inner_set = if choice.outer_is_v1 {
-                        dense.set2
-                    } else {
-                        dense.set1
-                    };
+                    // The bitset kernel's candidate set is the inner
+                    // endpoint's membership set; without a cached one the
+                    // kernel builds/pools its own.
                     let scratch = StepScratch {
+                        kernel: None,
                         cands_set: inner_set,
                         pool: dense.pool,
+                        par: ctx.par,
+                        workers: ctx.workers,
                     };
-                    step_join_partitioned_scratch(
-                        outer_doc,
-                        ax,
-                        outer,
-                        inner,
-                        ctx.workers,
-                        ctx.par,
-                        scratch,
-                        cost,
-                    )
+                    step_join_kernel(outer_doc, ax, outer, inner, None, scratch, cost)
                 }
             }
         }
@@ -283,11 +268,6 @@ pub fn execute_edge_op_with(
             };
             // The inner filter as a bitset: the caller's cached set when
             // provided, else built here from the (sorted) inner input.
-            let inner_set = if choice.outer_is_v1 {
-                dense.set2
-            } else {
-                dense.set1
-            };
             let built_set;
             let inner_set = match inner_set {
                 Some(s) => s,
@@ -296,7 +276,7 @@ pub fn execute_edge_op_with(
                     &built_set
                 }
             };
-            index_value_join_set_pooled(
+            index_value_join_kernel(
                 outer_doc,
                 outer,
                 index,
@@ -316,7 +296,7 @@ pub fn execute_edge_op_with(
         EdgeOpKind::HashValueJoin => {
             // Emits (v1, v2)-oriented node pairs directly; the internal
             // build-side choice is independent of the outer/inner framing.
-            let pairs = hash_value_join_partitioned_pooled(
+            let pairs = hash_value_join_kernel(
                 ctx.doc1,
                 ctx.input1,
                 ctx.doc2,
@@ -436,6 +416,7 @@ mod tests {
         let mut cost = Cost::new();
         let out = execute_edge_op(
             value_join_ctx(ExecMode::Full, &da, &ta, &ia, &db, &tb, &ib),
+            DenseState::default(),
             &mut cost,
         );
         assert_eq!(out.choice.kind, EdgeOpKind::HashValueJoin);
@@ -464,6 +445,7 @@ mod tests {
         let mut cost = Cost::new();
         let out = execute_edge_op(
             value_join_ctx(ExecMode::Full, &da, &ta, &ia, &db, &tb, &ib),
+            DenseState::default(),
             &mut cost,
         );
         assert_eq!(out.choice.kind, EdgeOpKind::IndexNLValueJoin);
@@ -475,6 +457,7 @@ mod tests {
         let mut cost2 = Cost::new();
         let flipped = execute_edge_op(
             value_join_ctx(ExecMode::Full, &db, &tb, &ib, &da, &ta, &ia),
+            DenseState::default(),
             &mut cost2,
         );
         assert_eq!(flipped.choice.kind, EdgeOpKind::IndexNLValueJoin);
@@ -534,6 +517,7 @@ mod tests {
                 limit: 100,
                 outer_is_v1: true,
             }),
+            DenseState::default(),
             &mut cost,
         );
         assert_eq!(fwd.choice.kind, EdgeOpKind::StepJoin);
@@ -544,6 +528,7 @@ mod tests {
                 limit: 100,
                 outer_is_v1: false,
             }),
+            DenseState::default(),
             &mut cost,
         );
         assert_eq!(rev.result.into_sampled().pairs.len(), 6);
@@ -553,6 +538,7 @@ mod tests {
                 limit: 2,
                 outer_is_v1: true,
             }),
+            DenseState::default(),
             &mut cost,
         );
         let out = cut.result.into_sampled();
@@ -592,6 +578,7 @@ mod tests {
                 par: Parallelism::Sequential,
                 workers: None,
             },
+            DenseState::default(),
             &mut cost,
         );
         // 2 a-nodes vs 3 b-nodes: executes forward from the a side.

@@ -11,10 +11,7 @@
 //!   execution, replay, enumeration, and the naive oracle alike;
 //! * [`staircase`] — structural joins for all XPath axes, pair-producing
 //!   and zero-investment in the context input;
-//! * [`valjoin`] — value equi-joins (index nested-loop, hash, merge);
-//! * [`partition`] — morsel-partitioned parallel variants of the
-//!   staircase and hash joins (split the context, merge in document
-//!   order; bit-identical to the sequential operators);
+//! * [`valjoin`] — value equi-joins (index nested-loop, hash);
 //! * [`cutoff`] — cut-off sampled execution with reduction-factor
 //!   extrapolation (§2.3);
 //! * [`relation`] — the columnar fully-joined intermediate relations;
@@ -27,7 +24,6 @@ pub mod axis;
 pub mod cost;
 pub mod cutoff;
 pub mod edgeop;
-pub mod partition;
 pub mod pool;
 pub mod relation;
 pub mod staircase;
@@ -37,25 +33,18 @@ pub mod valjoin;
 pub use axis::{Axis, NodeTest};
 pub use cost::{
     choose_op, choose_step_kernel, drift_breached, drift_ratio, nl_cheaper, revalidation_budget,
-    Cost, StepKernel, DRIFT_ABS_FLOOR, DRIFT_RATIO, NL_VS_HASH_FACTOR, REVALIDATE_BUDGET_PER_CHECK,
-    REVALIDATE_SPOT_CHECKS, REVALIDATE_SPOT_TAU, STEP_BITSET_FACTOR, STEP_MERGE_FACTOR,
+    Cost, StepKernel, DRIFT_ABS_FLOOR, DRIFT_RATIO, MIN_PARTITION_INPUT, NL_VS_HASH_FACTOR,
+    REVALIDATE_BUDGET_PER_CHECK, REVALIDATE_SPOT_CHECKS, REVALIDATE_SPOT_TAU, STEP_BITSET_FACTOR,
 };
 pub use cutoff::JoinOut;
 pub use edgeop::{
-    edge_predicate, execute_edge_op, execute_edge_op_with, DenseState, EdgeClass, EdgeOpChoice,
-    EdgeOpCtx, EdgeOpKind, EdgeOpOut, EdgeOpResult, ExecMode,
-};
-pub use partition::{
-    hash_value_join_partitioned, hash_value_join_partitioned_with, step_join_partitioned,
-    step_join_partitioned_scratch, MIN_PARTITION_INPUT,
+    edge_predicate, execute_edge_op, DenseState, EdgeClass, EdgeOpChoice, EdgeOpCtx, EdgeOpKind,
+    EdgeOpOut, EdgeOpResult, ExecMode,
 };
 pub use pool::{PoolStats, ScratchPool, MAX_POOLED_PER_SHAPE};
 pub use relation::{Relation, VarId};
 pub use rox_index::{PreSet, SymbolTable};
 pub use rox_par::Parallelism;
-pub use staircase::{naive_axis, step_join, step_join_kernel, step_join_scratch, StepScratch};
+pub use staircase::{naive_axis, step_join, step_join_kernel, StepScratch};
 pub use tail::Tail;
-pub use valjoin::{
-    hash_value_join, hash_value_join_with, index_value_join, index_value_join_set,
-    index_value_join_set_pooled, merge_value_join, sorted_by_value,
-};
+pub use valjoin::{hash_value_join, index_value_join};

@@ -76,7 +76,7 @@ impl PoolStats {
 pub struct ScratchPool {
     /// `Vec<Pre>`: base-list copies, distinct `T(v)` refreshes, relation
     /// columns (a column is a `Vec<Pre>` since the columnar relation
-    /// layout), CSR row-index scratch.
+    /// layout), row-index keys and rows.
     pres: Mutex<Vec<Vec<Pre>>>,
     /// `(row, node)` pair buffers — the staircase / value-join output.
     pairs: Mutex<Vec<Vec<(u32, Pre)>>>,

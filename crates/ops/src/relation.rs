@@ -16,8 +16,8 @@
 //! same `DocId` millions of times. Every bulk operation (join composition,
 //! row filtering, sorting, dedup, cartesian products) works column-wise
 //! with index **gathers** — no per-row `Vec` is ever built, and the hot
-//! [`Relation::compose`] resolves node→row matches through a dense
-//! counting-sort index instead of a `HashMap`. Buffers come from the
+//! [`Relation::compose`] resolves node→row matches through a sorted
+//! `(node, row)` index instead of a `HashMap`. Buffers come from the
 //! caller's [`ScratchPool`] where one is given.
 
 use crate::pool::ScratchPool;
@@ -258,10 +258,10 @@ impl Relation {
     }
 
     /// As [`Relation::compose`] with scratch buffers (row indexes, output
-    /// columns) leased from `pool`. Row matching goes through a dense
-    /// counting-sort index per side (node → rows, two array reads per
-    /// lookup), and output rows are produced as one **gather per column**
-    /// — never row by row.
+    /// columns) leased from `pool`. Row matching goes through a sorted
+    /// index per side (node → rows, one binary search per lookup), and
+    /// output rows are produced as one **gather per column** — never row
+    /// by row.
     pub fn compose_pooled(
         left: &Relation,
         var_a: VarId,
@@ -383,108 +383,48 @@ fn gather(col: &[Pre], rows: &[Pre], pool: Option<&ScratchPool>) -> Vec<Pre> {
     out
 }
 
-/// Crossover of [`RowIndex`]'s dense (counting-sort) layout: the dense
-/// index zero-fills a `max(col) + 1` offsets array, which is only worth
-/// it while that universe stays within a small factor of the row count —
-/// a handful of rows scattered near the end of a 10M-node document must
-/// not cost 10M-entry array passes per join. Past the factor, a
-/// sort-based index (`O(rows · log rows)` build, binary-searched lookups)
-/// takes over.
-const ROW_INDEX_DENSE_FACTOR: usize = 16;
-
 /// A node → row-indexes multimap over one column: the hash-free
 /// replacement for `HashMap<NodeId, Vec<u32>>` in [`Relation::compose`].
-/// Dense (CSR over `0..=max(col)`, counting-sort build, O(1) lookups)
-/// while the value universe is comparable to the row count
-/// ([`ROW_INDEX_DENSE_FACTOR`]); sorted `(node, row)` pairs with
-/// binary-searched group lookups otherwise. Both keep groups in
+/// Sorted `(node, row)` pairs split into two parallel arrays, with
+/// binary-searched group lookups. The build is sized by the rows joined,
+/// never by the document's pre universe, and the columns it indexes
+/// arrive almost sorted, so the sort is near-linear. Groups keep
 /// insertion (row) order — sorting `(node, row)` ties rows ascending —
 /// and lookups of absent nodes return the empty slice.
-enum RowIndex {
-    Dense {
-        /// `universe + 1` prefix sums; group of node `p` is
-        /// `rows[offsets[p]..offsets[p + 1]]`.
-        offsets: Vec<Pre>,
-        /// Row indexes grouped by node, insertion (row) order per group.
-        rows: Vec<Pre>,
-    },
-    Sorted {
-        /// Column values, sorted; parallel to `rows`.
-        keys: Vec<Pre>,
-        /// Row indexes, ascending within one key's run.
-        rows: Vec<Pre>,
-    },
+struct RowIndex {
+    /// Column values, sorted; parallel to `rows`.
+    keys: Vec<Pre>,
+    /// Row indexes, ascending within one key's run.
+    rows: Vec<Pre>,
 }
 
 impl RowIndex {
     fn build(col: &[Pre], pool: Option<&ScratchPool>) -> RowIndex {
         let lease = |p: Option<&ScratchPool>| p.map(ScratchPool::lease_pres).unwrap_or_default();
-        let universe = col.iter().map(|&p| p as usize + 1).max().unwrap_or(0);
-        if universe > col.len().saturating_mul(ROW_INDEX_DENSE_FACTOR) {
-            let mut pairs = pool.map(ScratchPool::lease_node_pairs).unwrap_or_default();
-            pairs.extend(col.iter().enumerate().map(|(row, &p)| (p, row as Pre)));
-            pairs.sort_unstable();
-            let mut keys = lease(pool);
-            let mut rows = lease(pool);
-            keys.extend(pairs.iter().map(|&(p, _)| p));
-            rows.extend(pairs.iter().map(|&(_, row)| row));
-            if let Some(pool) = pool {
-                pool.give_node_pairs(pairs);
-            }
-            return RowIndex::Sorted { keys, rows };
-        }
-        let mut offsets = lease(pool);
-        offsets.resize(universe + 1, 0);
-        for &p in col {
-            offsets[p as usize + 1] += 1;
-        }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
+        let mut pairs = pool.map(ScratchPool::lease_node_pairs).unwrap_or_default();
+        pairs.extend(col.iter().enumerate().map(|(row, &p)| (p, row as Pre)));
+        pairs.sort_unstable();
+        let mut keys = lease(pool);
         let mut rows = lease(pool);
-        rows.resize(col.len(), 0);
-        let mut cursor = lease(pool);
-        cursor.extend_from_slice(&offsets);
-        for (row, &p) in col.iter().enumerate() {
-            let at = cursor[p as usize];
-            rows[at as usize] = row as Pre;
-            cursor[p as usize] += 1;
-        }
+        keys.extend(pairs.iter().map(|&(p, _)| p));
+        rows.extend(pairs.iter().map(|&(_, row)| row));
         if let Some(pool) = pool {
-            pool.give_pres(cursor);
+            pool.give_node_pairs(pairs);
         }
-        RowIndex::Dense { offsets, rows }
+        RowIndex { keys, rows }
     }
 
     #[inline]
     fn rows(&self, p: Pre) -> &[Pre] {
-        match self {
-            RowIndex::Dense { offsets, rows } => {
-                let i = p as usize;
-                if i + 1 >= offsets.len() {
-                    return &[];
-                }
-                &rows[offsets[i] as usize..offsets[i + 1] as usize]
-            }
-            RowIndex::Sorted { keys, rows } => {
-                let start = keys.partition_point(|&k| k < p);
-                let end = start + keys[start..].partition_point(|&k| k == p);
-                &rows[start..end]
-            }
-        }
+        let start = self.keys.partition_point(|&k| k < p);
+        let end = start + self.keys[start..].partition_point(|&k| k == p);
+        &self.rows[start..end]
     }
 
     fn recycle(self, pool: Option<&ScratchPool>) {
-        let Some(pool) = pool else { return };
-        match self {
-            RowIndex::Dense { offsets, rows } => {
-                pool.give_pres(offsets);
-                pool.give_pres(rows);
-            }
-            RowIndex::Sorted { keys, rows } => {
-                pool.give_pres(keys);
-                pool.give_pres(rows);
-            }
+        if let Some(pool) = pool {
+            pool.give_pres(self.keys);
+            pool.give_pres(self.rows);
         }
     }
 }

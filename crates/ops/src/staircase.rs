@@ -13,8 +13,8 @@
 //!
 //! # Kernels
 //!
-//! Since the vectorized-execution refactor the join is served by one of
-//! three *kernels*, selected per call by the documented cost rule
+//! The join is served by one of two *kernels*, selected per call by the
+//! documented cost rule
 //! [`choose_step_kernel`](crate::cost::choose_step_kernel()):
 //!
 //! * [`StepKernel::Probe`] — the classic walk: per context node, traverse
@@ -23,41 +23,61 @@
 //!   `[S.first(), S.last()]` skips its binary search (charged as if it
 //!   ran), and the Ancestor walk stops chasing parents the moment the
 //!   chain drops below `S.first()` — the remaining probes are bulk-charged
-//!   from the node's stored level.
-//! * [`StepKernel::Merge`] — Child/Attribute only: a single forward merge
-//!   over `S` with galloping (exponential search) per context node,
-//!   touching only the candidates inside the context's subtree range and
-//!   deciding each with one `parent` read — no per-child binary search,
-//!   no walk over high-fanout child lists.
-//! * [`StepKernel::Bitset`] — the probe walk with membership answered by
+//!   from the node's stored level. The only kernel cut-off sampling uses.
+//! * [`StepKernel::Bitset`] — the same walk with membership answered by
 //!   a [`PreSet`] (one shift + mask). The set is the caller's cached one
 //!   ([`StepScratch::cands_set`], the evaluation state's scratch arena),
-//!   a pooled universe, or built on the fly.
+//!   a pooled universe, or built on the fly. Full execution only.
 //!
-//! All kernels are **bit-identical** in pairs, pair order, truncation
+//! Both kernels are **bit-identical** in pairs, pair order, truncation
 //! point, and [`Cost`] charges (pinned by
-//! `tests/proptest_staircase_kernels.rs`): every kernel charges exactly
-//! the probes the probe walk performs, so the figure harnesses' work
-//! counters cannot observe which kernel ran.
+//! `tests/proptest_staircase_kernels.rs`): one probe is charged per node
+//! the walk produces, whichever way its membership is decided, so the
+//! figure harnesses' work counters cannot observe which kernel ran.
+//!
+//! # Entry points
+//!
+//! [`step_join`] is the plain signature; [`step_join_kernel`] is the one
+//! kernel-facing entry the edge-operator kernel ([`crate::edgeop`]) calls,
+//! taking a [`StepScratch`] of reusable state and a worker budget. Full
+//! (no cut-off) execution over a large context splits it into contiguous
+//! morsels run on the worker pool and merged back in morsel order —
+//! because pairs are emitted in context order and every charge is
+//! per-tuple, the result is bit-identical to the single-morsel run.
+//! Cut-off execution is inherently sequential (the cut-off is a global
+//! scan position, §2.3); sampling parallelizes one level up, across
+//! candidate edges (see `rox-core`).
 
 use crate::axis::Axis;
-use crate::cost::{choose_step_kernel, Cost, StepKernel};
+use crate::cost::{choose_step_kernel, Cost, StepKernel, MIN_PARTITION_INPUT};
 use crate::cutoff::JoinOut;
 use crate::pool::ScratchPool;
 use rox_index::PreSet;
+use rox_par::{chunk_ranges, Parallelism, WorkerPool};
 use rox_xmldb::{Document, NodeKind, Pre};
 
-/// Caller-provided reusable state for one [`step_join_kernel`] call. Both
-/// fields are optional — the kernel builds (and frees) whatever a `None`
-/// withholds; supplying them only skips rebuilds, never changes results.
+/// Caller-provided reusable state and worker budget for one
+/// [`step_join_kernel`] call. Every field is optional — the default
+/// chooses the kernel by cost, builds (and frees) whatever it needs, and
+/// runs on the calling thread; supplying a field only skips rebuilds or
+/// adds workers, never changes results or charges.
 #[derive(Default, Clone, Copy)]
 pub struct StepScratch<'a> {
+    /// Force a kernel instead of consulting
+    /// [`choose_step_kernel`](crate::cost::choose_step_kernel()) (the
+    /// kernel-equivalence proptests).
+    pub kernel: Option<StepKernel>,
     /// A membership set over exactly the call's candidate list (the
     /// evaluation state caches one per vertex table version).
     pub cands_set: Option<&'a PreSet>,
     /// Buffer pool for the pair output and, when `cands_set` is absent,
     /// the bitset kernel's universe.
     pub pool: Option<&'a ScratchPool>,
+    /// Worker-thread budget for full execution (ignored under a cut-off).
+    pub par: Parallelism,
+    /// The worker pool morsels fan out on; `None` uses the process-shared
+    /// pool.
+    pub workers: Option<&'a WorkerPool>,
 }
 
 /// Evaluate `axis::S` for every context node, stopping once `limit` pairs
@@ -70,8 +90,8 @@ pub struct StepScratch<'a> {
 ///
 /// The kernel is chosen by
 /// [`choose_step_kernel`](crate::cost::choose_step_kernel()); see
-/// [`step_join_scratch`] to also reuse cached scratch state and
-/// [`step_join_kernel`] to force a kernel.
+/// [`step_join_kernel`] to reuse cached scratch state, fan out across
+/// workers, or force a kernel.
 pub fn step_join(
     doc: &Document,
     axis: Axis,
@@ -80,36 +100,21 @@ pub fn step_join(
     limit: Option<usize>,
     cost: &mut Cost,
 ) -> JoinOut<Pre> {
-    step_join_scratch(doc, axis, ctx, cands, limit, StepScratch::default(), cost)
+    step_join_kernel(doc, axis, ctx, cands, limit, StepScratch::default(), cost)
 }
 
-/// As [`step_join`] with caller-provided scratch state (cached candidate
-/// set and/or buffer pool).
-pub fn step_join_scratch(
-    doc: &Document,
-    axis: Axis,
-    ctx: &[Pre],
-    cands: &[Pre],
-    limit: Option<usize>,
-    scratch: StepScratch<'_>,
-    cost: &mut Cost,
-) -> JoinOut<Pre> {
-    let kernel = choose_step_kernel(axis, ctx.len(), cands.len(), limit.is_some());
-    step_join_kernel(doc, axis, ctx, cands, limit, kernel, scratch, cost)
-}
-
-/// As [`step_join`] with an explicit kernel (the entry point of the
-/// kernel-equivalence proptests and the `bench_staircase` microbench).
-/// [`StepKernel::Merge`] on a non-Child/Attribute axis falls back to the
-/// probe walk (the merge kernel is only defined for those axes).
-#[allow(clippy::too_many_arguments)]
+/// As [`step_join`] with caller-provided [`StepScratch`]: the kernel-facing
+/// entry. The kernel (and, for the bitset kernel, the candidate set) is
+/// resolved **once** over the full context; without a cut-off, a context
+/// of at least twice [`MIN_PARTITION_INPUT`] tuples is then split into
+/// morsels across `scratch.par` workers. Pairs, order, truncation, and
+/// cost charges equal [`step_join`]'s at any setting.
 pub fn step_join_kernel(
     doc: &Document,
     axis: Axis,
     ctx: &[Pre],
     cands: &[Pre],
     limit: Option<usize>,
-    kernel: StepKernel,
     scratch: StepScratch<'_>,
     cost: &mut Cost,
 ) -> JoinOut<Pre> {
@@ -121,73 +126,69 @@ pub fn step_join_kernel(
         cands.windows(2).all(|w| w[0] < w[1]),
         "candidates not sorted/unique"
     );
-    match kernel {
-        StepKernel::Merge if matches!(axis, Axis::Child | Axis::Attribute) => {
-            merge_walk(doc, axis, ctx, cands, limit, scratch.pool, cost)
+    let kernel = scratch
+        .kernel
+        .unwrap_or_else(|| choose_step_kernel(axis, ctx.len(), cands.len(), limit.is_some()));
+    // The bitset kernel's membership set: the caller's cached one, else a
+    // pooled universe, else a fresh build — resolved once so morsels
+    // share it.
+    let owned_set = (kernel == StepKernel::Bitset && scratch.cands_set.is_none()).then(|| {
+        let universe = cands.last().map_or(0, |&p| p as usize + 1);
+        match scratch.pool {
+            Some(pool) => pool.lease_set(universe, cands),
+            None => PreSet::from_nodes(universe, cands),
         }
-        StepKernel::Probe | StepKernel::Merge => {
-            probe_walk(doc, axis, ctx, cands, None, limit, scratch.pool, cost)
-        }
-        StepKernel::Bitset => {
-            let set = resolve_cands_set(cands, scratch);
-            let out = probe_walk(
+    });
+    let set = match kernel {
+        StepKernel::Probe => None,
+        StepKernel::Bitset => scratch.cands_set.or(owned_set.as_ref()),
+    };
+    let threads = match limit {
+        Some(_) => 1,
+        None => scratch
+            .par
+            .effective_threads(ctx.len(), MIN_PARTITION_INPUT),
+    };
+    let out = if threads <= 1 {
+        probe_walk(doc, axis, ctx, cands, set, limit, scratch.pool, cost)
+    } else {
+        let morsels = chunk_ranges(ctx.len(), threads * 4);
+        let workers = scratch.workers.unwrap_or_else(|| WorkerPool::shared());
+        let runs = workers.par_map(threads, morsels.len(), |i| {
+            let mut local = Cost::new();
+            let morsel = &ctx[morsels[i].clone()];
+            let mut out = probe_walk(
                 doc,
                 axis,
-                ctx,
+                morsel,
                 cands,
-                Some(set.get()),
-                limit,
+                set,
+                None,
                 scratch.pool,
-                cost,
+                &mut local,
             );
-            set.finish();
-            out
+            // Row ids are positions within the morsel slice; shift them
+            // back into the full context's row space before merging.
+            let base = morsels[i].start as u32;
+            for p in &mut out.pairs {
+                p.0 += base;
+            }
+            (out, local)
+        });
+        let mut merged = JoinOut::with_limit(ctx.len(), None, scratch.pool);
+        for (out, local) in runs {
+            merged.pairs.extend_from_slice(&out.pairs);
+            if let Some(pool) = scratch.pool {
+                pool.give_pairs(out.pairs);
+            }
+            cost.add(local);
         }
+        merged
+    };
+    if let (Some(set), Some(pool)) = (owned_set, scratch.pool) {
+        pool.give_set(set);
     }
-}
-
-/// The bitset kernel's candidate membership set, resolved from one
-/// [`StepScratch`]: the caller's cached set when provided, else a pooled
-/// universe, else a fresh build — the one place that owns the
-/// `cands.last() + 1` universe rule (shared by the sequential and
-/// partitioned entry points).
-pub(crate) enum CandsSet<'a> {
-    /// The caller's cached set (scratch arena).
-    Borrowed(&'a PreSet),
-    /// Leased from the pool; returned by [`CandsSet::finish`].
-    Leased(PreSet, &'a ScratchPool),
-    /// Built fresh for this call.
-    Owned(PreSet),
-}
-
-impl<'a> CandsSet<'a> {
-    /// The membership set over the call's candidates.
-    pub(crate) fn get(&self) -> &PreSet {
-        match self {
-            CandsSet::Borrowed(set) => set,
-            CandsSet::Leased(set, _) => set,
-            CandsSet::Owned(set) => set,
-        }
-    }
-
-    /// Hand a leased set back to its pool (no-op otherwise).
-    pub(crate) fn finish(self) {
-        if let CandsSet::Leased(set, pool) = self {
-            pool.give_set(set);
-        }
-    }
-}
-
-/// Resolve the bitset kernel's candidate set from the caller's scratch.
-pub(crate) fn resolve_cands_set<'a>(cands: &[Pre], scratch: StepScratch<'a>) -> CandsSet<'a> {
-    if let Some(set) = scratch.cands_set {
-        return CandsSet::Borrowed(set);
-    }
-    let universe = cands.last().map_or(0, |&p| p as usize + 1);
-    match scratch.pool {
-        Some(pool) => CandsSet::Leased(pool.lease_set(universe, cands), pool),
-        None => CandsSet::Owned(PreSet::from_nodes(universe, cands)),
-    }
+    out
 }
 
 /// Candidate membership for the probe walk: the range prune applies to
@@ -219,7 +220,7 @@ fn probe_walk(
     pool: Option<&ScratchPool>,
     cost: &mut Cost,
 ) -> JoinOut<Pre> {
-    let mut out = JoinOut::with_limit_pooled(ctx.len(), limit, pool);
+    let mut out = JoinOut::with_limit(ctx.len(), limit, pool);
     let limit = limit.unwrap_or(usize::MAX);
     // Range prune bounds (empty candidate list: lo > hi rejects all).
     let lo = cands.first().copied().unwrap_or(1);
@@ -359,83 +360,6 @@ fn probe_walk(
     out
 }
 
-/// First index `>= from` whose candidate is `>= target`, found by
-/// exponential search from `from` (the merge kernel's shared cursor only
-/// ever moves forward, so short gallops dominate).
-fn gallop(cands: &[Pre], from: usize, target: Pre) -> usize {
-    if from >= cands.len() || cands[from] >= target {
-        return from;
-    }
-    // cands[from + prev] < target holds throughout.
-    let mut prev = 0usize;
-    let mut bound = 1usize;
-    while from + bound < cands.len() && cands[from + bound] < target {
-        prev = bound;
-        bound *= 2;
-    }
-    let lo = from + prev + 1;
-    let hi = (from + bound + 1).min(cands.len());
-    lo + cands[lo..hi].partition_point(|&s| s < target)
-}
-
-/// The merge kernel (Child/Attribute): gallop the shared candidate cursor
-/// to each context's subtree range and decide each in-range candidate with
-/// one `parent` read. Emission order equals the probe walk's (children in
-/// document order = ascending pre), and probes are charged exactly as the
-/// probe walk charges them — one per child (attribute) the walk would
-/// visit, which on a cut-off hit means only the children up to and
-/// including the emitting node.
-fn merge_walk(
-    doc: &Document,
-    axis: Axis,
-    ctx: &[Pre],
-    cands: &[Pre],
-    limit: Option<usize>,
-    pool: Option<&ScratchPool>,
-    cost: &mut Cost,
-) -> JoinOut<Pre> {
-    let want_attr = axis == Axis::Attribute;
-    let mut out = JoinOut::with_limit_pooled(ctx.len(), limit, pool);
-    let limit = limit.unwrap_or(usize::MAX);
-    let mut start = 0usize;
-    'outer: for (row, &c) in ctx.iter().enumerate() {
-        let row = row as u32;
-        cost.charge_in(1);
-        // Contexts ascend, so `c + 1` ascends: one forward cursor serves
-        // every gallop as its lower bound.
-        start = gallop(cands, start, c + 1);
-        let until = doc.post(c);
-        let mut cut_at: Option<Pre> = None;
-        for &s in &cands[start..] {
-            if s > until {
-                break;
-            }
-            if (doc.kind(s) == NodeKind::Attribute) == want_attr
-                && doc.parent(s) == c
-                && out.emit(row, s, limit, cost)
-            {
-                cut_at = Some(s);
-                break;
-            }
-        }
-        // Probe-walk charge parity: the walk probes every child
-        // (attribute) of `c` — on a cut-off hit, only those up to and
-        // including the emitting node.
-        let walked = match (want_attr, cut_at) {
-            (false, None) => doc.children(c).count(),
-            (false, Some(s)) => doc.children(c).take_while(|&ch| ch <= s).count(),
-            (true, None) => doc.attributes(c).count(),
-            (true, Some(s)) => doc.attributes(c).take_while(|&a| a <= s).count(),
-        };
-        cost.charge_probe(walked);
-        if cut_at.is_some() {
-            break 'outer;
-        }
-        out.ctx_done(row);
-    }
-    out
-}
-
 /// Reference (naive) axis semantics used by the property tests: enumerate
 /// every node of the document and decide membership per the XPath data
 /// model. O(|C|·|D|) — never used by the engine itself.
@@ -484,7 +408,7 @@ mod tests {
         step_join(d, axis, ctx, cands, None, &mut cost).pairs
     }
 
-    /// Run one axis under every kernel and assert bit-identical output and
+    /// Run one axis under both kernels and assert bit-identical output and
     /// charges; returns the probe kernel's pairs.
     fn run_all_kernels(
         d: &rox_xmldb::Document,
@@ -493,33 +417,20 @@ mod tests {
         cands: &[Pre],
         limit: Option<usize>,
     ) -> Vec<(u32, Pre)> {
+        let run = |kernel, cost: &mut Cost| {
+            let scratch = StepScratch {
+                kernel: Some(kernel),
+                ..StepScratch::default()
+            };
+            step_join_kernel(d, axis, ctx, cands, limit, scratch, cost)
+        };
         let mut probe_cost = Cost::new();
-        let probe = step_join_kernel(
-            d,
-            axis,
-            ctx,
-            cands,
-            limit,
-            StepKernel::Probe,
-            StepScratch::default(),
-            &mut probe_cost,
-        );
-        for kernel in [StepKernel::Merge, StepKernel::Bitset] {
-            let mut cost = Cost::new();
-            let got = step_join_kernel(
-                d,
-                axis,
-                ctx,
-                cands,
-                limit,
-                kernel,
-                StepScratch::default(),
-                &mut cost,
-            );
-            assert_eq!(got.pairs, probe.pairs, "{axis:?} {kernel:?} pairs");
-            assert_eq!(got.truncated, probe.truncated, "{axis:?} {kernel:?}");
-            assert_eq!(cost, probe_cost, "{axis:?} {kernel:?} cost");
-        }
+        let probe = run(StepKernel::Probe, &mut probe_cost);
+        let mut cost = Cost::new();
+        let got = run(StepKernel::Bitset, &mut cost);
+        assert_eq!(got.pairs, probe.pairs, "{axis:?} pairs");
+        assert_eq!(got.truncated, probe.truncated, "{axis:?}");
+        assert_eq!(cost, probe_cost, "{axis:?} cost");
         probe.pairs
     }
 
@@ -659,18 +570,70 @@ mod tests {
         assert_eq!(filtered, direct);
     }
 
+    fn big_doc(sections: usize, items_per: usize) -> std::sync::Arc<Document> {
+        let mut s = String::from("<site>");
+        for _ in 0..sections {
+            s.push_str("<sec>");
+            for _ in 0..items_per {
+                s.push_str("<item/>");
+            }
+            s.push_str("</sec>");
+        }
+        s.push_str("</site>");
+        parse_document("big.xml", &s).unwrap()
+    }
+
+    /// The kernel entry at a worker budget, no caches, no pool.
+    fn run_par(
+        d: &Document,
+        axis: Axis,
+        ctx: &[Pre],
+        cands: &[Pre],
+        par: Parallelism,
+    ) -> (Vec<(u32, Pre)>, Cost) {
+        let scratch = StepScratch {
+            par,
+            ..StepScratch::default()
+        };
+        let mut cost = Cost::new();
+        let out = step_join_kernel(d, axis, ctx, cands, None, scratch, &mut cost);
+        (out.pairs, cost)
+    }
+
     #[test]
-    fn gallop_finds_lower_bound_from_any_cursor() {
-        let cands: Vec<Pre> = vec![2, 3, 5, 8, 13, 21, 34, 55];
-        for from in 0..=cands.len() {
-            for target in 0..60u32 {
-                let expect = cands.partition_point(|&s| s < target).max(from);
-                assert_eq!(
-                    gallop(&cands, from, target),
-                    expect,
-                    "from={from} target={target}"
-                );
+    fn morsel_parallel_step_join_matches_sequential() {
+        // 9000 context tuples: crosses the 2*MIN_PARTITION_INPUT
+        // engagement threshold with capacity for 4 workers.
+        let doc = big_doc(9000, 2);
+        let idx = ElementIndex::build(&doc);
+        let secs = idx.lookup(doc.interner().get("sec").unwrap());
+        let items = idx.lookup(doc.interner().get("item").unwrap());
+        for axis in [Axis::Descendant, Axis::Child] {
+            let mut c_seq = Cost::new();
+            let seq = step_join(&doc, axis, secs, items, None, &mut c_seq);
+            for par in [
+                Parallelism::Sequential,
+                Parallelism::Threads(2),
+                Parallelism::Threads(4),
+                Parallelism::Auto,
+            ] {
+                let (pairs, cost) = run_par(&doc, axis, secs, items, par);
+                assert_eq!(pairs, seq.pairs, "{axis:?} {par:?}");
+                assert_eq!(cost, c_seq, "{axis:?} {par:?}");
             }
         }
+    }
+
+    #[test]
+    fn small_input_stays_on_one_morsel() {
+        let doc = big_doc(3, 2);
+        let idx = ElementIndex::build(&doc);
+        let secs = idx.lookup(doc.interner().get("sec").unwrap());
+        let items = idx.lookup(doc.interner().get("item").unwrap());
+        let (pairs, cost) = run_par(&doc, Axis::Child, secs, items, Parallelism::Threads(8));
+        let mut c_seq = Cost::new();
+        let seq = step_join(&doc, Axis::Child, secs, items, None, &mut c_seq);
+        assert_eq!(pairs, seq.pairs);
+        assert_eq!(cost, c_seq);
     }
 }

@@ -1,14 +1,12 @@
 //! Value-based equi-joins (the relational joins of the Join Graph).
 //!
-//! Three physical algorithms, mirroring Table 1:
+//! Two physical algorithms, mirroring Table 1:
 //!
 //! * [`index_value_join`] — nested-loop index lookup: for each (sampled)
 //!   outer tuple, probe the inner document's value index. Zero-investment
 //!   w.r.t. the outer input, hence the algorithm ROX samples with.
 //! * [`hash_value_join`] — classic hash join on interned value symbols,
 //!   used for full (materialized) edge execution. Cost `|C|+|S|+|R|`.
-//! * [`merge_value_join`] — merge join over inputs pre-sorted by value
-//!   symbol (zero-investment when the inner is already ordered).
 //!
 //! Cross-document joins compare interned [`Symbol`]s, which is sound
 //! because all documents of one catalog share an interner.
@@ -17,15 +15,17 @@
 //! are dense node ids, the build side of the hash join is a CSR
 //! [`SymbolTable`] (probe = two array reads) and `inner_filter` membership
 //! is a [`PreSet`] bitset probe — no SipHash, no per-hit binary search.
-//! The slice-based entry points remain as thin wrappers that build the
-//! dense structures on the fly; callers holding a reusable workspace (the
-//! evaluation state's scratch arena) pass prebuilt ones through the
-//! `*_set`/`*_with` variants instead.
+//! The slice-based entry points build the dense structures on the fly;
+//! the edge-operator kernel ([`crate::edgeop`]) hands prebuilt ones (the
+//! evaluation state's scratch arena), a buffer pool, and a worker budget
+//! to the one crate-internal kernel-facing entry each operator has
+//! (`index_value_join_kernel`, `hash_value_join_kernel`).
 
-use crate::cost::Cost;
+use crate::cost::{Cost, MIN_PARTITION_INPUT};
 use crate::cutoff::JoinOut;
 use crate::pool::ScratchPool;
 use rox_index::{PreSet, SymbolTable, ValueIndex};
+use rox_par::{chunk_ranges, Parallelism, WorkerPool};
 use rox_xmldb::{Document, NodeKind, Pre, Symbol};
 
 fn join_value(doc: &Document, pre: Pre) -> Symbol {
@@ -40,33 +40,12 @@ fn join_value(doc: &Document, pre: Pre) -> Symbol {
 /// `inner_index` for each outer node and keep hits in `inner_filter` (the
 /// materialized `T(v′)` as a bitset), or all hits when `inner_filter` is
 /// `None`. Produced pairs carry the outer node's position in `outer` as
-/// their row id. This is the hot entry point the edge-operator kernel and
-/// the evaluation state's scratch arena feed.
-pub fn index_value_join_set(
-    outer_doc: &Document,
-    outer: &[Pre],
-    inner_index: &ValueIndex,
-    inner_kind: NodeKind,
-    inner_filter: Option<&PreSet>,
-    limit: Option<usize>,
-    cost: &mut Cost,
-) -> JoinOut<Pre> {
-    index_value_join_set_pooled(
-        outer_doc,
-        outer,
-        inner_index,
-        inner_kind,
-        inner_filter,
-        limit,
-        None,
-        cost,
-    )
-}
-
-/// As [`index_value_join_set`] with the pair buffer leased from `pool`
-/// (the caller returns `pairs` via [`ScratchPool::give_pairs`]).
+/// their row id. The pair buffer is leased from `pool` when one is given
+/// (the caller returns `pairs` via [`ScratchPool::give_pairs`]). This is
+/// the kernel-facing entry the edge-operator kernel and the evaluation
+/// state's scratch arena feed.
 #[allow(clippy::too_many_arguments)]
-pub fn index_value_join_set_pooled(
+pub(crate) fn index_value_join_kernel(
     outer_doc: &Document,
     outer: &[Pre],
     inner_index: &ValueIndex,
@@ -76,7 +55,7 @@ pub fn index_value_join_set_pooled(
     pool: Option<&ScratchPool>,
     cost: &mut Cost,
 ) -> JoinOut<Pre> {
-    let mut out = JoinOut::with_limit_pooled(outer.len(), limit, pool);
+    let mut out = JoinOut::with_limit(outer.len(), limit, pool);
     let limit = limit.unwrap_or(usize::MAX);
     'outer: for (row, &c) in outer.iter().enumerate() {
         let row = row as u32;
@@ -104,8 +83,8 @@ pub fn index_value_join_set_pooled(
     out
 }
 
-/// As [`index_value_join_set`] with the filter given as a sorted slice:
-/// builds the [`PreSet`] on the fly (an allocation the evaluation state's
+/// Nested-loop index-lookup join with the filter given as a sorted slice
+/// (`None` keeps every hit): builds the [`PreSet`] on the fly (an allocation the evaluation state's
 /// scratch arena avoids by caching the set per vertex).
 pub fn index_value_join(
     outer_doc: &Document,
@@ -117,13 +96,14 @@ pub fn index_value_join(
     cost: &mut Cost,
 ) -> JoinOut<Pre> {
     let set = inner_filter.map(filter_set);
-    index_value_join_set(
+    index_value_join_kernel(
         outer_doc,
         outer,
         inner_index,
         inner_kind,
         set.as_ref(),
         limit,
+        None,
         cost,
     )
 }
@@ -136,38 +116,10 @@ pub(crate) fn filter_set(filter: &[Pre]) -> PreSet {
     PreSet::from_nodes(universe, filter)
 }
 
-/// Build-side choice shared by the sequential and partitioned hash joins:
-/// build on the smaller input, probe with the larger. Keeping this in one
-/// place locks the two variants' orientation together.
-pub(crate) fn hash_builds_left(left: &[Pre], right: &[Pre]) -> bool {
-    left.len() <= right.len()
-}
-
-/// Build the CSR join table over the build side (an investment charged per
-/// input tuple, exactly like the hash build it replaces).
-pub(crate) fn build_join_table(
-    build_doc: &Document,
-    build: &[Pre],
-    cost: &mut Cost,
-) -> SymbolTable {
-    cost.charge_in(build.len());
-    let symbols: Vec<Symbol> = build.iter().map(|&p| join_value(build_doc, p)).collect();
-    SymbolTable::from_pairs(&symbols, build)
-}
-
-/// Charge the build-side investment for a *cached* join table: the cost
-/// model bills the build per execution whether or not the scratch arena
-/// already holds the table, keeping counters bit-identical to an uncached
-/// run.
-pub(crate) fn charge_cached_build(table: &SymbolTable, cost: &mut Cost) {
-    cost.charge_in(table.build_len());
-}
-
 /// Probe a slice of the probe side against the CSR table, appending
 /// matches to `out` in probe order, oriented `(left, right)` per
-/// `build_left`. The probe kernel of both [`hash_value_join`] and its
-/// partitioned variant — two array reads per probe, no hashing.
-pub(crate) fn probe_join_table(
+/// `build_left` — two array reads per probe, no hashing.
+fn probe_join_table(
     table: &SymbolTable,
     probe_doc: &Document,
     probe: &[Pre],
@@ -200,38 +152,34 @@ pub fn hash_value_join(
     right: &[Pre],
     cost: &mut Cost,
 ) -> Vec<(Pre, Pre)> {
-    hash_value_join_with(left_doc, left, right_doc, right, None, None, cost)
-}
-
-/// As [`hash_value_join`] with optional prebuilt CSR tables per side (from
-/// the evaluation state's scratch arena). A prebuilt table must have been
-/// built over exactly the side's current input; the build investment is
-/// charged either way.
-pub fn hash_value_join_with(
-    left_doc: &Document,
-    left: &[Pre],
-    right_doc: &Document,
-    right: &[Pre],
-    left_table: Option<&SymbolTable>,
-    right_table: Option<&SymbolTable>,
-    cost: &mut Cost,
-) -> Vec<(Pre, Pre)> {
-    hash_value_join_pooled(
+    hash_value_join_kernel(
         left_doc,
         left,
         right_doc,
         right,
-        left_table,
-        right_table,
         None,
+        None,
+        None,
+        None,
+        Parallelism::Sequential,
         cost,
     )
 }
 
-/// As [`hash_value_join_with`] with the output pair buffer leased from
-/// `pool` (the caller returns it via [`ScratchPool::give_node_pairs`]).
+/// As [`hash_value_join`], the kernel-facing entry: optional prebuilt CSR
+/// tables per side (the evaluation state's scratch arena — a prebuilt
+/// table must cover exactly the side's current input, and its build
+/// investment is charged either way, so counters stay bit-identical to an
+/// uncached run), the output pair buffer leased from `pool` (the caller
+/// returns it via [`ScratchPool::give_node_pairs`]), and a worker budget:
+/// the table is built once on the smaller side (sequentially — an
+/// investment either way), then the larger side is probed in contiguous
+/// morsels on `workers` (`None` = the process-shared pool) and the
+/// per-morsel outputs are concatenated in morsel order. One morsel (the
+/// calling thread) below twice [`MIN_PARTITION_INPUT`] probe tuples. Pair
+/// list, orientation, order, and cost charges are the same at any budget.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn hash_value_join_pooled(
+pub(crate) fn hash_value_join_kernel(
     left_doc: &Document,
     left: &[Pre],
     right_doc: &Document,
@@ -239,74 +187,54 @@ pub(crate) fn hash_value_join_pooled(
     left_table: Option<&SymbolTable>,
     right_table: Option<&SymbolTable>,
     pool: Option<&ScratchPool>,
+    workers: Option<&WorkerPool>,
+    par: Parallelism,
     cost: &mut Cost,
 ) -> Vec<(Pre, Pre)> {
-    let build_left = hash_builds_left(left, right);
+    let build_left = left.len() <= right.len();
     let (build_doc, build, probe_doc, probe, prebuilt) = if build_left {
         (left_doc, left, right_doc, right, left_table)
     } else {
         (right_doc, right, left_doc, left, right_table)
     };
-    let mut out = match pool {
-        Some(pool) => pool.lease_node_pairs(),
-        None => Vec::new(),
-    };
-    match prebuilt {
-        Some(table) => {
-            debug_assert_eq!(table.build_len(), build.len(), "stale cached join table");
-            charge_cached_build(table, cost);
-            probe_join_table(table, probe_doc, probe, build_left, cost, &mut out);
+    // The build is an investment charged per input tuple, cached or not.
+    cost.charge_in(build.len());
+    let built;
+    let table = match prebuilt {
+        Some(t) => {
+            debug_assert_eq!(t.build_len(), build.len(), "stale cached join table");
+            t
         }
         None => {
-            let table = build_join_table(build_doc, build, cost);
-            probe_join_table(&table, probe_doc, probe, build_left, cost, &mut out);
+            let symbols: Vec<Symbol> = build.iter().map(|&p| join_value(build_doc, p)).collect();
+            built = SymbolTable::from_pairs(&symbols, build);
+            &built
         }
+    };
+    let lease = || pool.map(ScratchPool::lease_node_pairs).unwrap_or_default();
+    let mut pairs = lease();
+    let threads = par.effective_threads(probe.len(), MIN_PARTITION_INPUT);
+    if threads <= 1 {
+        probe_join_table(table, probe_doc, probe, build_left, cost, &mut pairs);
+        return pairs;
     }
-    out
-}
-
-/// Merge join over inputs sorted by value symbol. `left`/`right` are
-/// `(symbol, pre)` pairs sorted on symbol.
-pub fn merge_value_join(
-    left: &[(Symbol, Pre)],
-    right: &[(Symbol, Pre)],
-    cost: &mut Cost,
-) -> Vec<(Pre, Pre)> {
-    debug_assert!(left.windows(2).all(|w| w[0].0 <= w[1].0));
-    debug_assert!(right.windows(2).all(|w| w[0].0 <= w[1].0));
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < left.len() && j < right.len() {
-        cost.charge_in(1);
-        match left[i].0.cmp(&right[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                // Emit the cross product of the equal-symbol groups.
-                let sym = left[i].0;
-                let i_end = left[i..].iter().take_while(|(s, _)| *s == sym).count() + i;
-                let j_end = right[j..].iter().take_while(|(s, _)| *s == sym).count() + j;
-                for &(_, lp) in &left[i..i_end] {
-                    for &(_, rp) in &right[j..j_end] {
-                        cost.charge_out(1);
-                        out.push((lp, rp));
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
+    let morsels = chunk_ranges(probe.len(), threads * 4);
+    let workers = workers.unwrap_or_else(|| WorkerPool::shared());
+    let runs = workers.par_map(threads, morsels.len(), |i| {
+        let mut local = Cost::new();
+        let mut out = lease();
+        let morsel = &probe[morsels[i].clone()];
+        probe_join_table(table, probe_doc, morsel, build_left, &mut local, &mut out);
+        (out, local)
+    });
+    for (out, local) in runs {
+        pairs.extend_from_slice(&out);
+        if let Some(pool) = pool {
+            pool.give_node_pairs(out);
         }
+        cost.add(local);
     }
-    out
-}
-
-/// Sort a node list into `(symbol, pre)` pairs ordered by symbol — the
-/// preparation step for [`merge_value_join`] (an investment, so only used
-/// on fully materialized inputs).
-pub fn sorted_by_value(doc: &Document, nodes: &[Pre]) -> Vec<(Symbol, Pre)> {
-    let mut out: Vec<(Symbol, Pre)> = nodes.iter().map(|&p| (join_value(doc, p), p)).collect();
-    out.sort_unstable();
-    out
+    pairs
 }
 
 #[cfg(test)]
@@ -398,21 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_join_matches_hash_join() {
-        let (_cat, da, db, _, _) = setup();
-        let left = text_nodes(&da);
-        let right = text_nodes(&db);
-        let mut c = Cost::new();
-        let mut hash = hash_value_join(&da, &left, &db, &right, &mut c);
-        hash.sort_unstable();
-        let ls = sorted_by_value(&da, &left);
-        let rs = sorted_by_value(&db, &right);
-        let mut merge = merge_value_join(&ls, &rs, &mut c);
-        merge.sort_unstable();
-        assert_eq!(hash, merge);
-    }
-
-    #[test]
     fn cutoff_on_index_join() {
         let (_cat, da, _db, _ia, ib) = setup();
         let left = text_nodes(&da);
@@ -442,5 +355,61 @@ mod tests {
         let out = index_value_join(&da, &attrs, &ib, NodeKind::Attribute, None, None, &mut cost);
         assert_eq!(out.pairs.len(), 1);
         assert_eq!(da.value_str(attrs[out.pairs[0].0 as usize]), "2");
+    }
+
+    fn big_doc(sections: usize, items_per: usize) -> Arc<Document> {
+        let mut s = String::from("<site>");
+        for i in 0..sections {
+            s.push_str("<sec>");
+            for j in 0..items_per {
+                s.push_str(&format!("<item>v{}</item>", (i * items_per + j) % 97));
+            }
+            s.push_str("</sec>");
+        }
+        s.push_str("</site>");
+        rox_xmldb::parse_document("big.xml", &s).unwrap()
+    }
+
+    /// The kernel entry at a worker budget, no caches, no pool.
+    fn hash_join_par(
+        da: &Document,
+        ta: &[Pre],
+        db: &Document,
+        tb: &[Pre],
+        par: Parallelism,
+        cost: &mut Cost,
+    ) -> Vec<(Pre, Pre)> {
+        hash_value_join_kernel(da, ta, db, tb, None, None, None, None, par, cost)
+    }
+
+    #[test]
+    fn morsel_parallel_hash_join_matches_sequential() {
+        let da = big_doc(100, 40);
+        let db = big_doc(120, 35);
+        let (ta, tb) = (text_nodes(&da), text_nodes(&db));
+        let mut c_seq = Cost::new();
+        let seq = hash_value_join(&da, &ta, &db, &tb, &mut c_seq);
+        for par in [Parallelism::Threads(2), Parallelism::Threads(4)] {
+            let mut c_par = Cost::new();
+            let got = hash_join_par(&da, &ta, &db, &tb, par, &mut c_par);
+            assert_eq!(got, seq);
+            assert_eq!(c_par, c_seq);
+        }
+    }
+
+    #[test]
+    fn morsel_parallel_hash_join_respects_orientation_both_ways() {
+        let da = big_doc(100, 40); // larger
+        let db = big_doc(30, 20); // smaller
+        let (ta, tb) = (text_nodes(&da), text_nodes(&db));
+        // Build side = right (smaller): probe = left.
+        let mut c = Cost::new();
+        let seq = hash_value_join(&da, &ta, &db, &tb, &mut Cost::new());
+        let got = hash_join_par(&da, &ta, &db, &tb, Parallelism::Threads(4), &mut c);
+        assert_eq!(got, seq);
+        // And flipped.
+        let seq2 = hash_value_join(&db, &tb, &da, &ta, &mut Cost::new());
+        let got2 = hash_join_par(&db, &tb, &da, &ta, Parallelism::Threads(4), &mut c);
+        assert_eq!(got2, seq2);
     }
 }

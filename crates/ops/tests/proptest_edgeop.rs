@@ -4,14 +4,14 @@
 //! `seed_*` functions below reimplement that original dispatch logic
 //! (smaller-side direction choice, the `|small| * 8 < |large|` index-NL
 //! heuristic, forced-direction cut-off sampling) verbatim on top of the
-//! raw operators, and every case checks the kernel against it under both
-//! `Parallelism::Sequential` and `Parallelism::Threads(2)`.
+//! plain (sequential) operators, and every case checks the kernel against
+//! it under both `Parallelism::Sequential` and `Parallelism::Threads(2)`.
 
 use proptest::prelude::*;
 use rox_index::ValueIndex;
 use rox_ops::{
-    execute_edge_op, hash_value_join_partitioned, index_value_join, step_join,
-    step_join_partitioned, Axis, Cost, EdgeClass, EdgeOpCtx, EdgeOpKind, ExecMode, Parallelism,
+    execute_edge_op, hash_value_join, index_value_join, step_join, Axis, Cost, DenseState,
+    EdgeClass, EdgeOpCtx, EdgeOpKind, ExecMode, Parallelism,
 };
 use rox_xmldb::{Catalog, Document, NodeKind, Pre};
 use std::sync::Arc;
@@ -28,7 +28,6 @@ fn seed_full_step(
     axis: Axis,
     t1: &[Pre],
     t2: &[Pre],
-    par: Parallelism,
     cost: &mut Cost,
 ) -> Vec<(Pre, Pre)> {
     let (from_t, to_t, ax, from_is_v1) = if t1.len() <= t2.len() {
@@ -36,7 +35,7 @@ fn seed_full_step(
     } else {
         (t2, t1, axis.inverse(), false)
     };
-    let out = step_join_partitioned(doc, ax, from_t, to_t, par, cost);
+    let out = step_join(doc, ax, from_t, to_t, None, cost);
     out.pairs
         .into_iter()
         .map(|(row, s)| {
@@ -52,7 +51,6 @@ fn seed_full_step(
 
 /// Seed full-mode value-join execution: smaller side outer, index-NL when
 /// `|small| * 8 < |large|`, hash otherwise, pairs oriented `(v1, v2)`.
-#[allow(clippy::too_many_arguments)]
 fn seed_full_value_join(
     d1: &Document,
     t1: &[Pre],
@@ -60,7 +58,6 @@ fn seed_full_value_join(
     d2: &Document,
     t2: &[Pre],
     i2: &ValueIndex,
-    par: Parallelism,
     cost: &mut Cost,
 ) -> (Vec<(Pre, Pre)>, EdgeOpKind) {
     let (small, large, small_is_v1) = if t1.len() <= t2.len() {
@@ -93,7 +90,7 @@ fn seed_full_value_join(
             .collect();
         (pairs, EdgeOpKind::IndexNLValueJoin)
     } else {
-        let pairs = hash_value_join_partitioned(d1, t1, d2, t2, par, cost);
+        let pairs = hash_value_join(d1, t1, d2, t2, cost);
         (pairs, EdgeOpKind::HashValueJoin)
     }
 }
@@ -207,10 +204,11 @@ proptest! {
         let t2 = subset(&all, m2);
         for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
             let mut seed_cost = Cost::new();
-            let expected = seed_full_step(&doc, axis, &t1, &t2, par, &mut seed_cost);
+            let expected = seed_full_step(&doc, axis, &t1, &t2, &mut seed_cost);
             let mut kernel_cost = Cost::new();
             let out = execute_edge_op(
                 step_ctx(ExecMode::Full, axis, &doc, &t1, &t2, par),
+                DenseState::default(),
                 &mut kernel_cost,
             );
             prop_assert_eq!(out.choice.kind, EdgeOpKind::StepJoin);
@@ -257,6 +255,7 @@ proptest! {
                 &t2,
                 Parallelism::Sequential,
             ),
+            DenseState::default(),
             &mut kernel_cost,
         );
         let got = out.result.into_sampled();
@@ -285,7 +284,7 @@ proptest! {
         for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
             let mut seed_cost = Cost::new();
             let (expected, expected_kind) =
-                seed_full_value_join(&da, &t1, &ia, &db, &t2, &ib, par, &mut seed_cost);
+                seed_full_value_join(&da, &t1, &ia, &db, &t2, &ib, &mut seed_cost);
             let mut kernel_cost = Cost::new();
             let out = execute_edge_op(
                 EdgeOpCtx {
@@ -302,6 +301,7 @@ proptest! {
                     par,
                     workers: None,
                 },
+                DenseState::default(),
                 &mut kernel_cost,
             );
             prop_assert_eq!(out.choice.kind, expected_kind);
@@ -359,6 +359,7 @@ proptest! {
                 par: Parallelism::Sequential,
                 workers: None,
             },
+            DenseState::default(),
             &mut kernel_cost,
         );
         prop_assert_eq!(out.choice.kind, EdgeOpKind::IndexNLValueJoin);

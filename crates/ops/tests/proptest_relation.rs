@@ -35,43 +35,21 @@ proptest! {
     }
 
     #[test]
-    fn compose_matches_naive_row_nested_loop(left in single_rel(1), right in single_rel(2), pairs in pairs_strategy()) {
-        // Reference: the old per-pair row nested loop, reimplemented here.
-        let mut expected = Relation::empty(vec![1, 2], vec![D, D]);
-        for &(a, b) in &pairs {
-            for (li, &lv) in left.col(1).iter().enumerate() {
-                if lv != a { continue; }
-                for (ri, &rv) in right.col(2).iter().enumerate() {
-                    if rv != b { continue; }
-                    let _ = (li, ri);
-                    expected.push_row(&[lv, rv]);
-                }
-            }
-        }
-        let got = Relation::compose(&left, 1, &right, 2, &pairs);
-        prop_assert_eq!(&got, &expected);
-        // And the pooled variant is bit-identical to the plain one.
-        let pool = ScratchPool::new();
-        let pooled = Relation::compose_pooled(&left, 1, &right, 2, &pairs, Some(&pool));
-        prop_assert_eq!(&pooled, &expected);
-    }
-
-    #[test]
-    fn sparse_compose_matches_dense_semantics(
-        left_raw in prop::collection::vec(0u32..50_000, 0..20),
-        right_raw in prop::collection::vec(0u32..50_000, 0..20),
-        picks in prop::collection::vec((0usize..24, 0usize..24), 0..25),
+    fn compose_matches_naive_row_nested_loop(
+        left in single_rel(1),
+        right in single_rel(2),
+        pairs in pairs_strategy(),
+        stride in prop::sample::select(vec![1u32, 4099]),
     ) {
-        // Node values far above the row count force RowIndex's sorted
-        // (binary-search) layout; pairs drawn from the actual columns so
-        // matches exist. Reference: the row nested loop.
-        let left = Relation::single(1, D, left_raw);
-        let right = Relation::single(2, D, right_raw);
-        let pairs: Vec<(Pre, Pre)> = picks
-            .into_iter()
-            .filter(|&(i, j)| i < left.len() && j < right.len())
-            .map(|(i, j)| (left.col(1)[i], right.col(2)[j]))
-            .collect();
+        // Stride 1 keeps node values within a small multiple of the row
+        // count; stride 4099 spreads the same duplicate-heavy columns over
+        // pres far above it — the row index must be sized by the rows it
+        // is given, whatever the document's pre universe.
+        let left = Relation::single(1, D, left.col(1).iter().map(|&p| p * stride).collect());
+        let right = Relation::single(2, D, right.col(2).iter().map(|&p| p * stride).collect());
+        let pairs: Vec<(Pre, Pre)> =
+            pairs.into_iter().map(|(a, b)| (a * stride, b * stride)).collect();
+        // Reference: the old per-pair row nested loop, reimplemented here.
         let mut expected = Relation::empty(vec![1, 2], vec![D, D]);
         for &(a, b) in &pairs {
             for &lv in left.col(1) {
@@ -84,6 +62,7 @@ proptest! {
         }
         let got = Relation::compose(&left, 1, &right, 2, &pairs);
         prop_assert_eq!(&got, &expected);
+        // And the pooled variant is bit-identical to the plain one.
         let pool = ScratchPool::new();
         let pooled = Relation::compose_pooled(&left, 1, &right, 2, &pairs, Some(&pool));
         prop_assert_eq!(&pooled, &expected);

@@ -1,6 +1,6 @@
 //! Kernel-equivalence property tests for the vectorized staircase join:
-//! the Merge (gallop) and Bitset kernels, the range-pruned Probe kernel,
-//! and the `step_join` dispatch must all be **bit-identical** — pairs,
+//! the Bitset kernel, the range-pruned Probe kernel, and the `step_join`
+//! dispatch must all be **bit-identical** — pairs,
 //! pair order, truncation point, reduction-factor bookkeeping, and every
 //! [`Cost`] counter — to the pre-vectorization probe loop, reimplemented
 //! verbatim below as the oracle. This is what guarantees the figure
@@ -26,7 +26,7 @@ fn seed_step_join(
     limit: Option<usize>,
     cost: &mut Cost,
 ) -> JoinOut<Pre> {
-    let mut out = JoinOut::with_limit(ctx.len(), limit);
+    let mut out = JoinOut::with_limit(ctx.len(), limit, None);
     let limit = limit.unwrap_or(usize::MAX);
     'outer: for (row, &c) in ctx.iter().enumerate() {
         let row = row as u32;
@@ -210,8 +210,7 @@ const AXES: [Axis; 12] = [
 
 /// Context: a pseudo-random sorted subset of elements (single-node and
 /// empty subsets included); candidates: a pseudo-random subset of the
-/// axis-appropriate node kind, so range pruning and gallop restarts see
-/// gaps.
+/// axis-appropriate node kind, so range pruning sees gaps.
 fn inputs(doc: &Document, axis: Axis, seed: u64) -> (Vec<Pre>, Vec<Pre>) {
     let idx = ElementIndex::build(doc);
     let mut ctx: Vec<Pre> = idx
@@ -242,10 +241,14 @@ fn assert_matches_seed(
     kernel: StepKernel,
     scratch: StepScratch<'_>,
 ) -> Result<(), String> {
+    let scratch = StepScratch {
+        kernel: Some(kernel),
+        ..scratch
+    };
     let mut seed_cost = Cost::new();
     let expect = seed_step_join(doc, axis, ctx, cands, limit, &mut seed_cost);
     let mut cost = Cost::new();
-    let got = step_join_kernel(doc, axis, ctx, cands, limit, kernel, scratch, &mut cost);
+    let got = step_join_kernel(doc, axis, ctx, cands, limit, scratch, &mut cost);
     prop_assert_eq!(&got.pairs, &expect.pairs, "{:?} {:?} pairs", axis, kernel);
     prop_assert_eq!(
         got.truncated,
@@ -272,7 +275,7 @@ proptest! {
     fn all_kernels_match_seed_probe_loop(doc in doc_strategy(), seed in 0u64..1000) {
         for axis in AXES {
             let (ctx, cands) = inputs(&doc, axis, seed);
-            for kernel in [StepKernel::Probe, StepKernel::Merge, StepKernel::Bitset] {
+            for kernel in [StepKernel::Probe, StepKernel::Bitset] {
                 assert_matches_seed(
                     &doc, axis, &ctx, &cands, None, kernel, StepScratch::default(),
                 )?;
@@ -286,7 +289,7 @@ proptest! {
         // hits; charge parity must hold at the exact truncation point.
         for axis in AXES {
             let (ctx, cands) = inputs(&doc, axis, seed);
-            for kernel in [StepKernel::Probe, StepKernel::Merge, StepKernel::Bitset] {
+            for kernel in [StepKernel::Probe, StepKernel::Bitset] {
                 assert_matches_seed(
                     &doc, axis, &ctx, &cands, Some(limit), kernel, StepScratch::default(),
                 )?;
@@ -302,9 +305,9 @@ proptest! {
             let universe = cands.last().map_or(0, |&p| p as usize + 1);
             let set = PreSet::from_nodes(universe, &cands);
             for scratch in [
-                StepScratch { cands_set: Some(&set), pool: None },
-                StepScratch { cands_set: None, pool: Some(&pool) },
-                StepScratch { cands_set: Some(&set), pool: Some(&pool) },
+                StepScratch { cands_set: Some(&set), ..StepScratch::default() },
+                StepScratch { pool: Some(&pool), ..StepScratch::default() },
+                StepScratch { cands_set: Some(&set), pool: Some(&pool), ..StepScratch::default() },
             ] {
                 assert_matches_seed(&doc, axis, &ctx, &cands, None, StepKernel::Bitset, scratch)?;
             }
@@ -324,9 +327,8 @@ proptest! {
             let mut c1 = Cost::new();
             let via_dispatch = step_join(&doc, axis, &ctx, &cands, limit, &mut c1);
             let mut c2 = Cost::new();
-            let via_kernel = step_join_kernel(
-                &doc, axis, &ctx, &cands, limit, kernel, StepScratch::default(), &mut c2,
-            );
+            let forced = StepScratch { kernel: Some(kernel), ..StepScratch::default() };
+            let via_kernel = step_join_kernel(&doc, axis, &ctx, &cands, limit, forced, &mut c2);
             prop_assert_eq!(via_dispatch.pairs, via_kernel.pairs);
             prop_assert_eq!(c1, c2);
         }
@@ -338,7 +340,7 @@ proptest! {
         let elements = idx.elements().to_vec();
         let one: Vec<Pre> = elements.iter().copied().take(1).collect();
         for axis in AXES {
-            for kernel in [StepKernel::Probe, StepKernel::Merge, StepKernel::Bitset] {
+            for kernel in [StepKernel::Probe, StepKernel::Bitset] {
                 // Empty candidates: every context still pays its walk.
                 assert_matches_seed(&doc, axis, &elements, &[], None, kernel, StepScratch::default())?;
                 // Empty context.

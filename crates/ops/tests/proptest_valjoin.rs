@@ -1,10 +1,10 @@
-//! Property tests for the value-join algorithms: hash, merge and
+//! Property tests for the value-join algorithms: hash and
 //! index-nested-loop must agree with each other and with a quadratic
 //! reference on random documents.
 
 use proptest::prelude::*;
 use rox_index::ValueIndex;
-use rox_ops::{hash_value_join, index_value_join, merge_value_join, sorted_by_value, Cost};
+use rox_ops::{hash_value_join, index_value_join, Cost};
 use rox_xmldb::{Catalog, Document, NodeKind, Pre};
 use std::sync::Arc;
 
@@ -65,17 +65,6 @@ proptest! {
         let (da, db) = build(&l, &r);
         let (la, lb) = (text_nodes(&da), text_nodes(&db));
         let mut got = hash_value_join(&da, &la, &db, &lb, &mut Cost::new());
-        got.sort_unstable();
-        prop_assert_eq!(got, reference(&da, &la, &db, &lb));
-    }
-
-    #[test]
-    fn merge_join_matches_reference((l, r) in docs_strategy()) {
-        let (da, db) = build(&l, &r);
-        let (la, lb) = (text_nodes(&da), text_nodes(&db));
-        let sa = sorted_by_value(&da, &la);
-        let sb = sorted_by_value(&db, &lb);
-        let mut got = merge_value_join(&sa, &sb, &mut Cost::new());
         got.sort_unstable();
         prop_assert_eq!(got, reference(&da, &la, &db, &lb));
     }

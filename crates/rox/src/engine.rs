@@ -55,7 +55,7 @@
 //! exact same sampling an un-cached [`crate::run_rox`] would.
 
 use crate::env::{EnvError, RoxEnv};
-use crate::guard::{self, EdgeExpectation, GuardSpec, GuardVerdict, SpotCheck};
+use crate::guard::{self, EdgeExpectation, GuardSpec, SpotCheck};
 use crate::optimizer::{run_rox_with_env, RoxOptions, RoxReport};
 use crate::plan::validate_plan;
 use crate::state::EdgeExec;
@@ -474,10 +474,6 @@ pub struct EngineStats {
     /// Documents/index sets decoded from the snapshot instead of being
     /// parsed/built (the store's fault counter).
     pub storage_loads: usize,
-    /// Segment-decode tasks the snapshot fanned out across the worker
-    /// pool ([`RoxEngine::preload_snapshot`]); stays 0 on the lazy
-    /// first-touch path.
-    pub storage_par_decodes: u64,
     /// Write-ahead-log counters (records, bytes, commits vs fsyncs,
     /// LSN water marks). All zero for an engine without a durable
     /// directory (see [`RoxEngine::make_durable`]).
@@ -518,7 +514,12 @@ pub struct EngineRun {
     /// spot-check charge (bounded by the seeding run's Phase-1 cost and by
     /// [`rox_ops::revalidation_budget`]).
     pub sample_cost: Cost,
-    /// Wall-clock of the run.
+    /// Wall-clock spent in full execution (+ finalization and tail).
+    pub exec_wall: Duration,
+    /// Wall-clock spent sampling (spot checks, Phase 1, chain sampling,
+    /// re-weighting).
+    pub sample_wall: Duration,
+    /// Wall-clock of the run; at least `exec_wall + sample_wall`.
     pub total_wall: Duration,
     /// True when the plan cache answered this run end-to-end (mode
     /// [`RunMode::Revalidated`]).
@@ -533,7 +534,12 @@ pub struct EngineRun {
 }
 
 impl EngineRun {
-    fn from_report(report: RoxReport, fingerprint: u64) -> Self {
+    fn new(
+        report: RoxReport,
+        fingerprint: u64,
+        mode: RunMode,
+        spot_checks: Vec<SpotCheck>,
+    ) -> Self {
         EngineRun {
             output: report.output,
             joined: report.joined,
@@ -541,30 +547,12 @@ impl EngineRun {
             edge_log: report.edge_log,
             exec_cost: report.exec_cost,
             sample_cost: report.sample_cost,
+            exec_wall: report.exec_wall,
+            sample_wall: report.sample_wall,
             total_wall: report.total_wall,
-            plan_cache_hit: false,
-            mode: RunMode::Optimized,
-            spot_checks: Vec::new(),
-            fingerprint,
-        }
-    }
-
-    fn from_guarded(run: guard::GuardedRun, fingerprint: u64) -> Self {
-        let mode = match run.verdict {
-            GuardVerdict::Revalidated => RunMode::Revalidated,
-            GuardVerdict::Demoted { at_edge } => RunMode::Demoted { at_edge },
-        };
-        EngineRun {
-            output: run.output,
-            joined: run.joined,
-            executed_order: run.executed_order,
-            edge_log: run.edge_log,
-            exec_cost: run.exec_cost,
-            sample_cost: run.sample_cost,
-            total_wall: run.wall,
             plan_cache_hit: mode == RunMode::Revalidated,
             mode,
-            spot_checks: run.checks,
+            spot_checks,
             fingerprint,
         }
     }
@@ -733,44 +721,6 @@ impl RoxEngine {
         );
         engine.register_storage_sink(Arc::new(SnapshotStalenessSink { source }));
         Ok(engine)
-    }
-
-    /// As [`RoxEngine::open_snapshot`], then immediately
-    /// [`RoxEngine::preload_snapshot`]: every stored document and index
-    /// set is decoded up front, fanned out across the engine's worker
-    /// pool, so the first query after open runs entirely warm. The lazy
-    /// `open_snapshot` stays the default — an engine serving a small
-    /// working set out of a large snapshot should not pay for segments it
-    /// never touches.
-    pub fn open_snapshot_prefetched(
-        path: &Path,
-        frames: Option<usize>,
-    ) -> Result<Self, StorageError> {
-        let engine = Self::open_snapshot(path, frames)?;
-        engine.preload_snapshot()?;
-        Ok(engine)
-    }
-
-    /// Eagerly decode every non-stale stored document and index set into
-    /// residency, dispatching the per-segment decode work across the
-    /// engine's worker pool (two tasks per document: node columns and
-    /// index segments — see [`SnapshotSource::decode_all`]). Page reads
-    /// under the decode go through the buffer pool with scan hints and
-    /// readahead, so a pool smaller than the file still ends the preload
-    /// with its frames holding the *tail* of each segment, not a
-    /// thrashed prefix. Returns the number of documents made resident
-    /// (0 for an engine without a snapshot).
-    pub fn preload_snapshot(&self) -> Result<usize, StorageError> {
-        let Some(source) = &self.snapshot else {
-            return Ok(0);
-        };
-        let threads = Parallelism::Auto.threads().max(2);
-        let decoded = source.decode_all(&self.workers, threads)?;
-        let installed = decoded.len();
-        for (id, doc, indexes) in decoded {
-            self.store.install(id, doc, indexes);
-        }
-        Ok(installed)
     }
 
     /// Persist this engine's catalog — documents, symbol heap, and the
@@ -1055,60 +1005,43 @@ impl RoxEngine {
         // first, so any invalidation racing this run makes the captured
         // vector stale and the seed/replay below refuses it.
         let epochs = self.capture_epochs(graph);
-        if options.plan_reuse == PlanReuse::ReuseValidated {
-            if let Some(spec) = self.lookup_validated(fingerprint, &canonical, graph, &epochs) {
-                let env = self.session(graph)?;
-                let run = guard::run_guarded(&env, graph, &spec, options)
-                    .map_err(|e| EnvError { message: e.message })?;
-                match run.verdict {
-                    GuardVerdict::Revalidated => {
-                        self.plan_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    GuardVerdict::Demoted { .. } => {
-                        // A demotion is an optimizing run that kept its
-                        // executed prefix: count it as a miss, and re-seed
-                        // the cache with the refreshed plan, versioned
-                        // against the epochs captured at run start.
-                        self.plan_demotions.fetch_add(1, Ordering::Relaxed);
-                        self.plan_misses.fetch_add(1, Ordering::Relaxed);
-                        let expected = guard::plan_expectations(
-                            &env,
-                            graph,
-                            &run.executed_order,
-                            &run.edge_log,
-                            &options,
-                        );
-                        let ops = run.edge_log.iter().map(|x| x.op).collect();
-                        self.insert_plan(
-                            fingerprint,
-                            canonical,
-                            graph,
-                            run.executed_order.clone(),
-                            ops,
-                            expected,
-                            &options,
-                            epochs,
-                        );
-                    }
-                }
-                return Ok(EngineRun::from_guarded(run, fingerprint));
-            }
-        }
         let env = self.session(graph)?;
-        let report = run_rox_with_env(&env, graph, options)?;
-        // Count the miss only once the optimizer actually ran — failed
-        // sessions (unknown documents) must not skew the hit rate.
-        self.plan_misses.fetch_add(1, Ordering::Relaxed);
-        self.seed_plan(
-            fingerprint,
-            canonical,
-            graph,
-            &env,
-            &report,
-            &options,
-            epochs,
-        );
-        Ok(EngineRun::from_report(report, fingerprint))
+        let spec = (options.plan_reuse == PlanReuse::ReuseValidated)
+            .then(|| self.lookup_validated(fingerprint, &canonical, graph, &epochs))
+            .flatten();
+        let (report, mode, checks) = match spec {
+            Some(spec) => guard::run_guarded(&env, graph, &spec, options)
+                .map_err(|e| EnvError { message: e.message })?,
+            None => (
+                run_rox_with_env(&env, graph, options)?,
+                RunMode::Optimized,
+                Vec::new(),
+            ),
+        };
+        if mode == RunMode::Revalidated {
+            self.plan_hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            // A demotion is an optimizing run that kept its executed
+            // prefix: like one, it counts as a miss — only once the
+            // optimizer actually ran, so failed sessions (unknown
+            // documents) never skew the hit rate — and (re-)seeds the
+            // cache with what it discovered, versioned against the epochs
+            // captured at run start.
+            if matches!(mode, RunMode::Demoted { .. }) {
+                self.plan_demotions.fetch_add(1, Ordering::Relaxed);
+            }
+            self.plan_misses.fetch_add(1, Ordering::Relaxed);
+            self.insert_plan(
+                fingerprint,
+                canonical,
+                graph,
+                &env,
+                &report,
+                &options,
+                epochs,
+            );
+        }
+        Ok(EngineRun::new(report, fingerprint, mode, checks))
     }
 
     /// Serve a batch of queries concurrently on the engine's worker pool
@@ -1249,7 +1182,6 @@ impl RoxEngine {
                 .map(|s| s.page_count() as u64)
                 .unwrap_or(0),
             storage_loads: self.store.load_count(),
-            storage_par_decodes: self.snapshot.as_ref().map(|s| s.par_decodes()).unwrap_or(0),
             wal: self
                 .durable
                 .read()
@@ -1485,8 +1417,20 @@ impl RoxEngine {
         })
     }
 
-    #[allow(clippy::too_many_arguments)] // thin shim over insert_plan
-    fn seed_plan(
+    /// Seed the plan cache with what `report`'s run discovered: the edge
+    /// order, the operator per edge, and each edge's observed cardinalities
+    /// plus — for the spot-check window — the probe estimate a future
+    /// guarded replay will recompute with the identical procedure
+    /// (bit-equal on unchanged data). The plan is versioned against
+    /// `epochs` (captured at run start): if any of those epochs has
+    /// advanced since — a concurrent `invalidate_document` — the insert is
+    /// refused, because the plan was discovered on statistics that no
+    /// longer exist. The epoch re-read happens *inside* the plan-cache
+    /// critical section, and the invalidator bumps epochs strictly before
+    /// its retain-sweep takes the same lock, so every interleaving either
+    /// refuses the insert here or sweeps the entry there.
+    #[allow(clippy::too_many_arguments)] // one call site
+    fn insert_plan(
         &self,
         fingerprint: u64,
         canonical: String,
@@ -1496,11 +1440,6 @@ impl RoxEngine {
         options: &RoxOptions,
         epochs: Vec<(String, u64)>,
     ) {
-        let ops = report.edge_log.iter().map(|x| x.op).collect();
-        // Record each edge's observed cardinalities plus — for the
-        // spot-check window — the probe estimate a future guarded replay
-        // will recompute with the identical procedure (bit-equal on
-        // unchanged data).
         let expected = guard::plan_expectations(
             env,
             graph,
@@ -1508,38 +1447,6 @@ impl RoxEngine {
             &report.edge_log,
             options,
         );
-        self.insert_plan(
-            fingerprint,
-            canonical,
-            graph,
-            report.executed_order.clone(),
-            ops,
-            expected,
-            options,
-            epochs,
-        );
-    }
-
-    /// Insert a plan versioned against `epochs` (captured at run start).
-    /// If any of those epochs has advanced since — a concurrent
-    /// `invalidate_document` — the insert is refused: the plan was
-    /// discovered on statistics that no longer exist. The epoch re-read
-    /// happens *inside* the plan-cache critical section, and the
-    /// invalidator bumps epochs strictly before its retain-sweep takes the
-    /// same lock, so every interleaving either refuses the insert here or
-    /// sweeps the entry there.
-    #[allow(clippy::too_many_arguments)] // one call site per seeding path
-    fn insert_plan(
-        &self,
-        fingerprint: u64,
-        canonical: String,
-        graph: &JoinGraph,
-        order: Vec<EdgeId>,
-        ops: Vec<EdgeOpKind>,
-        expected: Vec<EdgeExpectation>,
-        options: &RoxOptions,
-        epochs: Vec<(String, u64)>,
-    ) {
         let mut doc_uris: Vec<String> =
             graph.vertices().iter().map(|v| v.doc_uri.clone()).collect();
         doc_uris.sort();
@@ -1557,8 +1464,8 @@ impl RoxEngine {
         plans.insert(
             fingerprint,
             CachedPlan {
-                order,
-                ops,
+                order: report.executed_order.clone(),
+                ops: report.edge_log.iter().map(|x| x.op).collect(),
                 expected,
                 tau: options.tau,
                 seed: options.seed,
@@ -1916,7 +1823,8 @@ mod tests {
         cat.load_str("d.xml", &sized_site(40, 1)).unwrap();
         let engine = RoxEngine::new(cat);
         let g = compile_query(Q_STEP).unwrap();
-        engine.run(&g, reuse()).unwrap();
+        let cold = engine.run(&g, reuse()).unwrap();
+        assert_eq!(cold.mode, RunMode::Optimized);
         // 20x more bidders per auction: the sampled spot check on the
         // step edge breaches long before DRIFT_RATIO allows.
         engine
@@ -1942,6 +1850,20 @@ mod tests {
         let rewarm = engine.run(&g, reuse()).unwrap();
         assert_eq!(rewarm.mode, RunMode::Revalidated);
         assert_eq!(rewarm.output, fresh.output);
+        // However a run was answered, its two clocks are disjoint slices
+        // of its total.
+        for run in [&cold, &drifted, &rewarm] {
+            assert!(run.exec_wall > Duration::ZERO, "{:?}", run.mode);
+            assert!(run.sample_wall > Duration::ZERO, "{:?}", run.mode);
+            assert!(
+                run.exec_wall + run.sample_wall <= run.total_wall,
+                "{:?}: {:?} + {:?} > {:?}",
+                run.mode,
+                run.exec_wall,
+                run.sample_wall,
+                run.total_wall
+            );
+        }
     }
 
     #[test]

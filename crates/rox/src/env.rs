@@ -43,10 +43,10 @@ pub struct RoxEnv {
     /// Default worker-thread budget for full edge executions: the
     /// partitioned staircase/hash joins in [`crate::state`] split their
     /// probe inputs into morsels when this allows more than one thread.
-    /// Fixed at construction — per-run overrides go through
-    /// [`crate::RoxOptions::parallelism`] and
-    /// [`crate::run_plan_with_env_parallel`], so a shared engine never
-    /// needs `&mut` access.
+    /// Fixed at construction: optimizing and guarded runs override it per
+    /// run through [`crate::RoxOptions::parallelism`] (so a shared engine
+    /// never needs `&mut` access); plan replays
+    /// ([`crate::run_plan_with_env`]) run under it as is.
     parallelism: Parallelism,
     /// The worker pool full edge executions fan out on — the owning
     /// engine's always-on pool, or `None` for standalone environments

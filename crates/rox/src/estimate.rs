@@ -17,7 +17,7 @@
 
 use crate::state::EvalState;
 use rox_joingraph::{EdgeId, VertexId};
-use rox_ops::{execute_edge_op_with, Cost, DenseState, EdgeOpCtx, EdgeOpKind, ExecMode};
+use rox_ops::{execute_edge_op, Cost, DenseState, EdgeOpCtx, EdgeOpKind, ExecMode};
 use rox_par::Parallelism;
 use rox_xmldb::Pre;
 
@@ -109,7 +109,7 @@ pub fn sampled_edge_exec(
             },
         )
     };
-    let out = execute_edge_op_with(ctx, dense, cost);
+    let out = execute_edge_op(ctx, dense, cost);
     let run = out.result.into_sampled();
     SampledExec {
         est: run.estimate(),

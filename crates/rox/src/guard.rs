@@ -28,26 +28,27 @@
 //!    — which is what catches *correlation* drift that leaves every base
 //!    cardinality untouched.
 //!
-//! On breach the state — with its executed prefix, tables, and
-//! cardinalities — is handed to the same Phase-1 + Phase-2 machinery an
-//! optimizing run uses ([`crate::optimizer`]): samples are re-seeded from
-//! the *current* `T(v)` tables and the remaining edges are optimized from
-//! scratch. Output correctness is unconditional (any edge order joins to
+//! On breach the run driver — with its executed prefix, tables, and
+//! cardinalities — simply continues into the same Phase-1 + Phase-2 step
+//! an optimizing run is made of ([`crate::optimizer`]): samples are
+//! re-seeded from the *current* `T(v)` tables and the remaining edges are
+//! optimized from scratch. Output correctness is unconditional (any edge order joins to
 //! the same relation); demotion recovers the *order* quality.
 
+use crate::driver::RunDriver;
+use crate::engine::RunMode;
 use crate::env::RoxEnv;
-use crate::estimate::{estimate_card, estimate_cards};
-use crate::optimizer::{optimize_loop, RoxOptions};
+use crate::estimate::estimate_card;
+use crate::optimizer::{RoxOptions, RoxReport};
 use crate::plan::{validate_plan, PlanError};
 use crate::state::{EdgeExec, EvalState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rox_joingraph::{EdgeId, JoinGraph};
 use rox_ops::{
-    drift_ratio, revalidation_budget, Cost, Relation, Tail, DRIFT_RATIO, REVALIDATE_SPOT_CHECKS,
+    drift_ratio, revalidation_budget, Cost, DRIFT_RATIO, REVALIDATE_SPOT_CHECKS,
     REVALIDATE_SPOT_TAU,
 };
-use std::time::{Duration, Instant};
 
 /// What the seeding run recorded for one plan edge — the expectations a
 /// guarded replay checks the live run against.
@@ -117,136 +118,84 @@ pub struct SpotCheck {
     pub breached: bool,
 }
 
-/// How a guarded replay ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GuardVerdict {
-    /// Every check passed; the cached plan was replayed to completion.
-    Revalidated,
-    /// A check breached after `at_edge` plan edges had been executed; the
-    /// remaining edges were re-optimized from the live state (`at_edge`
-    /// is 0 when a pre-execution sampled check fired).
-    Demoted {
-        /// Executed-prefix length at the breach.
-        at_edge: usize,
-    },
-}
-
-/// Everything one guarded replay produces (the engine folds this into an
-/// [`EngineRun`](crate::EngineRun)).
-#[derive(Debug)]
-pub(crate) struct GuardedRun {
-    /// Fully joined relation.
-    pub joined: Relation,
-    /// Output after the tail.
-    pub output: Relation,
-    /// Edges actually executed, in order (replayed prefix + re-optimized
-    /// suffix when demoted).
-    pub executed_order: Vec<EdgeId>,
-    /// Per-edge observations.
-    pub edge_log: Vec<EdgeExec>,
-    /// Full-execution work.
-    pub exec_cost: Cost,
-    /// Sampling work: the budget-capped spot checks, plus the fresh
-    /// optimization's sampling when demoted.
-    pub sample_cost: Cost,
-    /// Wall-clock of the run.
-    pub wall: Duration,
-    /// Revalidated or demoted.
-    pub verdict: GuardVerdict,
-    /// Every drift comparison made, in order.
-    pub checks: Vec<SpotCheck>,
+impl SpotCheck {
+    fn new(edge: EdgeId, kind: CheckKind, expected: f64, observed: f64) -> Self {
+        let ratio = drift_ratio(observed, expected);
+        SpotCheck {
+            edge,
+            kind,
+            expected,
+            observed,
+            ratio,
+            breached: ratio > DRIFT_RATIO,
+        }
+    }
 }
 
 /// Replay `spec` under drift guards; demote to a fresh optimization of the
 /// remaining edges on breach. See the module docs for the check semantics.
+/// Returns the run, how it ended ([`RunMode::Revalidated`] or
+/// [`RunMode::Demoted`], whose `at_edge` is 0 when a pre-execution sampled
+/// check fired), and every drift comparison made, in order.
 pub(crate) fn run_guarded(
     env: &RoxEnv,
     graph: &JoinGraph,
     spec: &GuardSpec,
     options: RoxOptions,
-) -> Result<GuardedRun, PlanError> {
+) -> Result<(RoxReport, RunMode, Vec<SpotCheck>), PlanError> {
     validate_plan(graph, &spec.order)?;
     debug_assert_eq!(spec.order.len(), spec.expected.len());
-    let started = Instant::now();
-    let mut state = EvalState::new(env, graph);
-    state.set_parallelism(options.parallelism);
-    let mut sample_cost = Cost::new();
-    let mut sample_wall = Duration::ZERO;
-    let mut exec_wall = Duration::ZERO;
-    let mut traces = Vec::new();
+    let mut driver = RunDriver::new(env, graph, options);
     let mut checks: Vec<SpotCheck> = Vec::new();
     let mut breached = false;
 
-    for e in graph.edges() {
-        if e.redundant {
-            state.mark_executed(e.id);
-        }
-    }
-
     // ---- Sampled spot checks: re-run the seed-time probe procedure ----
     // ---- on the first K plan edges and compare bit-for-bit.        ----
-    let t0 = Instant::now();
     let budget = revalidation_budget(spec.tau);
     for (i, &e) in spec.order.iter().enumerate().take(REVALIDATE_SPOT_CHECKS) {
-        if sample_cost.total() >= budget {
+        if driver.sample_cost.total() >= budget {
             break;
         }
         let Some(expected) = spec.expected[i].spot_estimate else {
             continue;
         };
-        let Some(observed) = spot_probe(&mut state, e, spec.seed, &mut sample_cost) else {
+        let Some(observed) = driver.sampled(|state, cost| spot_probe(state, e, spec.seed, cost))
+        else {
             continue;
         };
-        let ratio = drift_ratio(observed, expected);
-        let fired = ratio > DRIFT_RATIO;
-        checks.push(SpotCheck {
-            edge: e,
-            kind: CheckKind::SampledWeight,
-            expected,
-            observed,
-            ratio,
-            breached: fired,
-        });
-        if fired {
+        let check = SpotCheck::new(e, CheckKind::SampledWeight, expected, observed);
+        checks.push(check);
+        if check.breached {
             breached = true;
             break;
         }
     }
-    sample_wall += t0.elapsed();
 
     // ---- Replay, with free observed checks after every edge. ----
-    let mut executed_order = Vec::new();
     if !breached {
         for (i, &e) in spec.order.iter().enumerate() {
-            if graph.edge(e).redundant {
+            let Some(exec) = driver.replay_edge(e) else {
                 continue;
-            }
-            let t_exec = Instant::now();
-            state.execute_edge(e, None);
-            exec_wall += t_exec.elapsed();
-            executed_order.push(e);
-            let exec = *state.edge_log.last().expect("edge just logged");
+            };
             let exp = &spec.expected[i];
             // The worse of the pair-level and row-level drifts: pairs is
             // what the sampled probes estimate, result rows is what the
             // component join actually pays for.
-            let pair_ratio = drift_ratio(exec.pairs as f64, exp.pairs as f64);
-            let row_ratio = drift_ratio(exec.result_rows as f64, exp.result_rows as f64);
-            let (observed, expected, ratio) = if pair_ratio >= row_ratio {
-                (exec.pairs as f64, exp.pairs as f64, pair_ratio)
+            let by_pairs =
+                SpotCheck::new(e, CheckKind::Observed, exp.pairs as f64, exec.pairs as f64);
+            let by_rows = SpotCheck::new(
+                e,
+                CheckKind::Observed,
+                exp.result_rows as f64,
+                exec.result_rows as f64,
+            );
+            let check = if by_pairs.ratio >= by_rows.ratio {
+                by_pairs
             } else {
-                (exec.result_rows as f64, exp.result_rows as f64, row_ratio)
+                by_rows
             };
-            let fired = ratio > DRIFT_RATIO;
-            checks.push(SpotCheck {
-                edge: e,
-                kind: CheckKind::Observed,
-                expected,
-                observed,
-                ratio,
-                breached: fired,
-            });
-            if fired {
+            checks.push(check);
+            if check.breached {
                 breached = true;
                 break;
             }
@@ -255,64 +204,14 @@ pub(crate) fn run_guarded(
 
     // ---- Breach: demote mid-query — re-seed Phase 1 from the current ----
     // ---- tables and drive Algorithm 1 over the remaining edges.      ----
-    let verdict = if breached {
-        let at_edge = executed_order.len();
-        let t1 = Instant::now();
-        let mut rng = StdRng::seed_from_u64(options.seed);
-        for v in graph.vertices() {
-            state.seed_sample_current(v.id, &mut rng, options.tau);
-        }
-        let mut weights: Vec<Option<f64>> = vec![None; graph.edge_count()];
-        let candidates = state.unexecuted_edges();
-        let ws = estimate_cards(
-            &state,
-            &candidates,
-            options.tau,
-            options.parallelism,
-            &mut sample_cost,
-        );
-        for (&e, w) in candidates.iter().zip(ws) {
-            weights[e as usize] = w;
-        }
-        sample_wall += t1.elapsed();
-        optimize_loop(
-            &mut state,
-            &mut weights,
-            &mut rng,
-            &options,
-            &mut executed_order,
-            &mut sample_cost,
-            &mut sample_wall,
-            &mut exec_wall,
-            &mut traces,
-        );
-        GuardVerdict::Demoted { at_edge }
+    let mode = if breached {
+        let at_edge = driver.executed_order.len();
+        driver.optimize_remaining();
+        RunMode::Demoted { at_edge }
     } else {
-        GuardVerdict::Revalidated
+        RunMode::Revalidated
     };
-
-    // ---- Finalize exactly like every other run driver. ----
-    let joined = state.finalize();
-    state.recycle_scratch();
-    let tail = Tail {
-        dedup_vars: graph.tail.dedup.clone(),
-        sort_vars: graph.tail.sort.clone(),
-        output_vars: vec![graph.tail.output],
-    };
-    let mut exec_cost = state.exec_cost;
-    let output = tail.apply(&joined, &mut exec_cost);
-
-    Ok(GuardedRun {
-        joined,
-        output,
-        executed_order,
-        edge_log: state.edge_log.clone(),
-        exec_cost,
-        sample_cost,
-        wall: started.elapsed(),
-        verdict,
-        checks,
-    })
+    Ok((driver.finish(), mode, checks))
 }
 
 /// Deterministic RNG for edge `e`'s spot probe, derived from the plan's
@@ -353,12 +252,7 @@ pub(crate) fn plan_expectations(
     options: &RoxOptions,
 ) -> Vec<EdgeExpectation> {
     debug_assert_eq!(order.len(), edge_log.len());
-    let mut state = EvalState::new(env, graph);
-    for e in graph.edges() {
-        if e.redundant {
-            state.mark_executed(e.id);
-        }
-    }
+    let mut state = RunDriver::new(env, graph, *options).state;
     let mut maintenance = Cost::new();
     let mut expectations = Vec::with_capacity(order.len());
     for (i, (&e, exec)) in order.iter().zip(edge_log).enumerate() {

@@ -25,7 +25,9 @@
 //!   including the parallel candidate-sampling fan-out
 //!   ([`estimate_cards`]);
 //! * [`chain`] — chain sampling (Algorithm 2);
-//! * [`optimizer`] — the run-time optimizer (Algorithm 1);
+//! * [`optimizer`] — the run-time optimizer (Algorithm 1): options, report
+//!   and entry points over the crate's one run driver, which plan replay
+//!   and the guarded replay share;
 //! * [`plan`] — explicit plan replay ("pure plan", no sampling);
 //! * [`guard`] — guarded plan replay: sampled drift spot checks over a
 //!   cached plan, with mid-query demotion back into Algorithm 1 when the
@@ -48,6 +50,7 @@
 //! ```
 
 pub mod chain;
+mod driver;
 pub mod engine;
 pub mod enumerate;
 pub mod env;
@@ -70,13 +73,10 @@ pub use enumerate::{
 };
 pub use env::{EnvError, RoxEnv};
 pub use estimate::estimate_cards;
-pub use guard::{CheckKind, EdgeExpectation, GuardVerdict, SpotCheck};
+pub use guard::{CheckKind, EdgeExpectation, SpotCheck};
 pub use naive::naive_evaluate;
 pub use optimizer::{run_rox, run_rox_with_env, RoxOptions, RoxReport};
-pub use plan::{
-    run_plan, run_plan_parallel, run_plan_with_env, run_plan_with_env_parallel, validate_plan,
-    PlanError, PlanRun,
-};
+pub use plan::{run_plan, run_plan_with_env, validate_plan, PlanError, PlanRun};
 pub use rox_ops::EdgeOpKind;
 pub use rox_par::Parallelism;
 pub use rox_storage::{RecoveryReport, WalStats};

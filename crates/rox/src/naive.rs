@@ -7,7 +7,7 @@
 
 use crate::env::RoxEnv;
 use rox_joingraph::{JoinGraph, VertexLabel};
-use rox_ops::{edge_predicate, Cost, Relation, Tail};
+use rox_ops::{edge_predicate, Cost, Relation};
 use rox_xmldb::Pre;
 use std::collections::HashMap;
 
@@ -104,12 +104,7 @@ pub fn naive_evaluate(env: &RoxEnv, graph: &JoinGraph) -> (Relation, Relation) {
         });
     }
     let joined = joined.unwrap_or_else(|| Relation::empty(vec![], vec![]));
-    let tail = Tail {
-        dedup_vars: graph.tail.dedup.clone(),
-        sort_vars: graph.tail.sort.clone(),
-        output_vars: vec![graph.tail.output],
-    };
-    let output = tail.apply(&joined, &mut Cost::new());
+    let output = crate::driver::plan_tail(graph).apply(&joined, &mut Cost::new());
     (joined, output)
 }
 

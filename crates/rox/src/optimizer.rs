@@ -7,20 +7,21 @@
 //! with full execution of the superior path segment, re-sampling the
 //! weights of all edges incident to updated vertices after every execution
 //! — re-sampling, not scaling, is what lets ROX "detect arbitrary
-//! correlations between edges in the Join Graph" (§3).
+//! correlations between edges in the Join Graph" (§3). Both phases live in
+//! the crate's one run driver (`driver.rs`), which plan replay and the
+//! guarded replay's mid-query demotion share; this module holds the
+//! options, the report, and the two public entry points.
 
-use crate::chain::{chain_sample, ChainTrace};
+use crate::chain::ChainTrace;
+use crate::driver::RunDriver;
 use crate::env::{EnvError, RoxEnv};
-use crate::estimate::estimate_cards;
-use crate::state::{EdgeExec, EvalState};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crate::state::EdgeExec;
 use rox_joingraph::{EdgeId, JoinGraph};
-use rox_ops::{Cost, Relation, Tail};
+use rox_ops::{Cost, Relation};
 use rox_par::Parallelism;
 use rox_xmldb::Catalog;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Tunables of the run-time optimizer.
 #[derive(Debug, Clone, Copy)]
@@ -147,185 +148,9 @@ pub fn run_rox_with_env(
     graph: &JoinGraph,
     options: RoxOptions,
 ) -> Result<RoxReport, EnvError> {
-    let started = Instant::now();
-    let mut rng = StdRng::seed_from_u64(options.seed);
-    let mut state = EvalState::new(env, graph);
-    // RoxOptions is the single source of truth for a ROX run: it governs
-    // both the sampling fan-out and full edge execution, regardless of the
-    // parallelism the environment was built with.
-    state.set_parallelism(options.parallelism);
-    let mut sample_cost = Cost::new();
-    let mut sample_wall = Duration::ZERO;
-    let mut exec_wall = Duration::ZERO;
-    let mut traces = Vec::new();
-
-    // Descendant steps from document roots are semantically redundant and
-    // skipped (§3.2).
-    for e in graph.edges() {
-        if e.redundant {
-            state.mark_executed(e.id);
-        }
-    }
-
-    // ---- Phase 1: seed samples, cards and edge weights (lines 1-4). ----
-    let t0 = Instant::now();
-    for v in graph.vertices() {
-        state.seed_sample(v.id, &mut rng, options.tau);
-    }
-    // Every candidate edge is weighted by an independent cut-off sampled
-    // operator run over shared immutable state — the embarrassingly
-    // parallel step `estimate_cards` fans out across the worker pool.
-    let mut weights: Vec<Option<f64>> = vec![None; graph.edge_count()];
-    let candidates = state.unexecuted_edges();
-    let ws = estimate_cards(
-        &state,
-        &candidates,
-        options.tau,
-        options.parallelism,
-        &mut sample_cost,
-    );
-    for (&e, w) in candidates.iter().zip(ws) {
-        weights[e as usize] = w;
-    }
-    sample_wall += t0.elapsed();
-
-    // ---- Phase 2: alternate exploration and execution (lines 5-19). ----
-    let mut executed_order = Vec::new();
-    optimize_loop(
-        &mut state,
-        &mut weights,
-        &mut rng,
-        &options,
-        &mut executed_order,
-        &mut sample_cost,
-        &mut sample_wall,
-        &mut exec_wall,
-        &mut traces,
-    );
-
-    // ---- Finalize: assemble the full join and apply the tail. ----
-    let t_fin = Instant::now();
-    let joined = state.finalize();
-    state.recycle_scratch();
-    let tail = Tail {
-        dedup_vars: graph.tail.dedup.clone(),
-        sort_vars: graph.tail.sort.clone(),
-        output_vars: vec![graph.tail.output],
-    };
-    let mut exec_cost = state.exec_cost;
-    let output = tail.apply(&joined, &mut exec_cost);
-    exec_wall += t_fin.elapsed();
-
-    Ok(RoxReport {
-        joined,
-        output,
-        executed_order,
-        edge_log: state.edge_log.clone(),
-        exec_cost,
-        sample_cost,
-        exec_wall,
-        sample_wall,
-        total_wall: started.elapsed(),
-        traces,
-    })
-}
-
-/// The Phase-2 drive loop of Algorithm 1 (lines 5-19): alternate
-/// exploration (chain sampling or the greedy ablation) with full execution
-/// of the superior path segment, re-weighting edges incident to updated
-/// vertices after every execution. Factored out of [`run_rox_with_env`] so
-/// mid-query demotion (the guarded replay's breach path) drives the exact
-/// same loop over a state that already carries an executed prefix.
-#[allow(clippy::too_many_arguments)] // mirrors the loop's former locals 1:1
-pub(crate) fn optimize_loop(
-    state: &mut EvalState<'_>,
-    weights: &mut [Option<f64>],
-    rng: &mut StdRng,
-    options: &RoxOptions,
-    executed_order: &mut Vec<EdgeId>,
-    sample_cost: &mut Cost,
-    sample_wall: &mut Duration,
-    exec_wall: &mut Duration,
-    traces: &mut Vec<ChainTrace>,
-) {
-    while !state.unexecuted_edges().is_empty() {
-        let t_sample = Instant::now();
-        // Adaptive effort (§6): once sampling work dominates execution
-        // work beyond the budget, stop paying for lookahead.
-        let explore = options.chain_sampling
-            && options.effort_budget.is_none_or(|budget| {
-                let floor = (options.tau * options.tau) as f64;
-                (sample_cost.total() as f64) <= budget * (state.exec_cost.total() as f64).max(floor)
-            });
-        let outcome = if explore {
-            chain_sample(
-                state,
-                weights,
-                rng,
-                options.tau,
-                options.parallelism,
-                sample_cost,
-            )
-        } else {
-            // Greedy ablation: the minimum-weight edge, no lookahead.
-            let e = *state
-                .unexecuted_edges()
-                .iter()
-                .min_by(|&&a, &&b| {
-                    let wa = weights[a as usize].unwrap_or(f64::INFINITY);
-                    let wb = weights[b as usize].unwrap_or(f64::INFINITY);
-                    wa.partial_cmp(&wb).unwrap().then(a.cmp(&b))
-                })
-                .expect("loop guard");
-            crate::chain::ChainOutcome {
-                path: vec![e],
-                trace: crate::chain::ChainTrace {
-                    seed_edge: e,
-                    ..Default::default()
-                },
-            }
-        };
-        *sample_wall += t_sample.elapsed();
-        if options.trace {
-            traces.push(outcome.trace);
-        }
-        // Execute the chosen path segment: the paper treats it "as a
-        // separate Join Graph" and executes it in its best order — we pick
-        // the current-minimum-weight edge of the segment each time,
-        // re-weighting in between.
-        let mut remaining: Vec<EdgeId> = outcome.path;
-        while !remaining.is_empty() {
-            remaining.retain(|&e| !state.is_executed(e));
-            let Some(&e) = remaining.iter().min_by(|&&a, &&b| {
-                let wa = weights[a as usize].unwrap_or(f64::INFINITY);
-                let wb = weights[b as usize].unwrap_or(f64::INFINITY);
-                wa.partial_cmp(&wb).unwrap().then(a.cmp(&b))
-            }) else {
-                break;
-            };
-            let t_exec = Instant::now();
-            let changed = state.execute_edge(e, Some((&mut *rng, options.tau)));
-            *exec_wall += t_exec.elapsed();
-            executed_order.push(e);
-            remaining.retain(|&x| x != e);
-            // Lines 18-19: re-sample the weights of all unexecuted edges
-            // incident to updated vertices — one independent sampled run
-            // per edge, fanned out in parallel like Phase 1.
-            if options.resample {
-                let t_rw = Instant::now();
-                let stale: Vec<EdgeId> = changed
-                    .iter()
-                    .flat_map(|&v| state.unexecuted_edges_of(v))
-                    .collect();
-                let ws =
-                    estimate_cards(state, &stale, options.tau, options.parallelism, sample_cost);
-                for (&e2, w) in stale.iter().zip(ws) {
-                    weights[e2 as usize] = w;
-                }
-                *sample_wall += t_rw.elapsed();
-            }
-        }
-    }
+    let mut driver = RunDriver::new(env, graph, options);
+    driver.optimize_remaining();
+    Ok(driver.finish())
 }
 
 #[cfg(test)]

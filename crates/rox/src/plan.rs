@@ -9,13 +9,15 @@
 //! reproduce the original run's exactly — the property the
 //! kernel-equivalence proptest pins.
 
+use crate::driver::RunDriver;
 use crate::env::{EnvError, RoxEnv};
-use crate::state::{EdgeExec, EvalState};
-use rox_joingraph::{EdgeId, JoinGraph};
-use rox_ops::{Cost, Relation, Tail};
+use crate::optimizer::RoxOptions;
+use crate::state::EdgeExec;
+use rox_joingraph::{EdgeId, EdgeKind, JoinGraph};
+use rox_ops::{Cost, Relation};
 use rox_xmldb::Catalog;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Result of one plan replay.
 #[derive(Debug)]
@@ -94,73 +96,43 @@ pub fn run_plan(
     run_plan_with_env(&env, graph, order)
 }
 
-/// As [`run_plan`] with a worker-thread budget: full edge executions use
-/// the partitioned staircase/hash joins of `rox-ops`, producing the same
-/// relations, edge log, and cost counters as the sequential replay.
-pub fn run_plan_parallel(
-    catalog: Arc<Catalog>,
-    graph: &JoinGraph,
-    order: &[EdgeId],
-    parallelism: rox_par::Parallelism,
-) -> Result<PlanRun, PlanError> {
-    let env = RoxEnv::with_parallelism(catalog, graph, parallelism)?;
-    run_plan_with_env(&env, graph, order)
-}
-
-/// As [`run_plan`] with a reusable environment (the environment's default
-/// worker budget applies; see [`run_plan_with_env_parallel`] for a per-run
-/// override).
+/// As [`run_plan`] with a reusable environment. Full edge executions run
+/// under the environment's worker budget
+/// ([`RoxEnv::with_parallelism`]) — relations, edge log, and cost counters
+/// are identical at any setting.
 pub fn run_plan_with_env(
     env: &RoxEnv,
     graph: &JoinGraph,
     order: &[EdgeId],
 ) -> Result<PlanRun, PlanError> {
-    run_plan_with_env_parallel(env, graph, order, env.parallelism())
-}
-
-/// As [`run_plan_with_env`] with an explicit per-run worker-thread budget
-/// for full edge executions — the replay analogue of
-/// [`RoxOptions::parallelism`](crate::RoxOptions::parallelism), so shared
-/// (engine-owned) environments never need `&mut` to change thread counts.
-/// Results, edge log, and cost counters are identical at any setting.
-pub fn run_plan_with_env_parallel(
-    env: &RoxEnv,
-    graph: &JoinGraph,
-    order: &[EdgeId],
-    parallelism: rox_par::Parallelism,
-) -> Result<PlanRun, PlanError> {
     validate_plan(graph, order)?;
-    let started = Instant::now();
-    let mut state = EvalState::new(env, graph);
-    state.set_parallelism(parallelism);
-    for e in graph.edges() {
-        if e.redundant {
-            state.mark_executed(e.id);
-        }
-    }
-    for &e in order {
-        if graph.edge(e).redundant {
-            continue;
-        }
-        state.execute_edge(e, None);
-    }
-    let joined = state.finalize();
-    state.recycle_scratch();
-    let tail = Tail {
-        dedup_vars: graph.tail.dedup.clone(),
-        sort_vars: graph.tail.sort.clone(),
-        output_vars: vec![graph.tail.output],
+    let options = RoxOptions {
+        parallelism: env.parallelism(),
+        ..RoxOptions::default()
     };
-    let mut cost = state.exec_cost;
-    let output = tail.apply(&joined, &mut cost);
+    let mut driver = RunDriver::new(env, graph, options);
+    for &e in order {
+        driver.replay_edge(e);
+    }
+    let report = driver.finish();
+    // Fig. 5's metric: summed intermediate result sizes, over equi-join
+    // edges only or over every edge.
+    let cumulative = |joins_only: bool| -> u64 {
+        report
+            .edge_log
+            .iter()
+            .filter(|x| !joins_only || matches!(graph.edge(x.edge).kind, EdgeKind::EquiJoin { .. }))
+            .map(|x| x.result_rows as u64)
+            .sum()
+    };
     Ok(PlanRun {
-        cumulative_join_rows: state.cumulative_intermediate(true),
-        cumulative_rows: state.cumulative_intermediate(false),
-        edge_log: state.edge_log,
-        joined,
-        output,
-        cost,
-        wall: started.elapsed(),
+        cumulative_join_rows: cumulative(true),
+        cumulative_rows: cumulative(false),
+        joined: report.joined,
+        output: report.output,
+        edge_log: report.edge_log,
+        cost: report.exec_cost,
+        wall: report.total_wall,
     })
 }
 
@@ -193,6 +165,9 @@ mod tests {
         assert_eq!(replay.output, rox.output);
         // Replay logs the same intermediate sizes.
         assert_eq!(replay.edge_log, rox.edge_log);
+        // Fig. 5's sums: the equi-join alone yields k1×1 + k2×2 = 3 rows.
+        assert!(replay.cumulative_join_rows >= 3);
+        assert!(replay.cumulative_rows >= replay.cumulative_join_rows);
     }
 
     #[test]

@@ -19,10 +19,10 @@
 use crate::env::RoxEnv;
 use rand::rngs::StdRng;
 use rox_index::{sample_sorted, PreSet, SymbolTable};
-use rox_joingraph::{EdgeId, EdgeKind, JoinGraph, VertexId, VertexLabel};
+use rox_joingraph::{EdgeId, JoinGraph, VertexId, VertexLabel};
 use rox_ops::{
-    choose_op, choose_step_kernel, edge_predicate, execute_edge_op_with, Cost, DenseState,
-    EdgeClass, EdgeOpCtx, EdgeOpKind, ExecMode, Relation, StepKernel,
+    choose_op, choose_step_kernel, edge_predicate, execute_edge_op, Cost, DenseState, EdgeClass,
+    EdgeOpCtx, EdgeOpKind, ExecMode, Relation, StepKernel,
 };
 use rox_xmldb::{NodeKind, Pre};
 use std::sync::{Arc, RwLock};
@@ -73,7 +73,7 @@ impl EdgeExec {
 /// interchangeable with a fresh build. Reuse never changes results *or*
 /// cost counters: bitset membership is uncharged (as the binary search it
 /// replaced was), and a cached join table still bills its build
-/// investment per execution (see `rox_ops::hash_value_join_with`).
+/// investment per execution (see `rox_ops::valjoin`).
 struct Scratch {
     /// vertex → membership bitset over `table_or_base(v)`.
     sets: RwLock<Vec<Option<Arc<PreSet>>>>,
@@ -262,17 +262,12 @@ impl<'a> EvalState<'a> {
         table
     }
 
-    /// Seed `S(v)` from the base list (Phase 1 of Algorithm 1).
+    /// Seed `S(v)` from the current `T(v)` — the base list while the
+    /// vertex is untouched (Phase 1 of Algorithm 1), the materialized table
+    /// once an executed prefix has reduced it (the sample Algorithm 1 would
+    /// hold had it arrived at this state itself; mid-query demotion
+    /// restarts Phase 1 this way).
     pub fn seed_sample(&mut self, v: VertexId, rng: &mut StdRng, tau: usize) {
-        let base = self.env.base_list(self.graph, v);
-        self.sample[v as usize] = Some(Arc::new(sample_sorted(rng, &base, tau)));
-    }
-
-    /// Seed `S(v)` from the *current* `T(v)` (falling back to the base
-    /// list when the vertex is untouched) — the sample Algorithm 1 would
-    /// hold had it arrived at this state itself. Mid-query demotion uses
-    /// this to restart Phase 1 over an already-executed prefix.
-    pub fn seed_sample_current(&mut self, v: VertexId, rng: &mut StdRng, tau: usize) {
         let t = self.table_or_base(v);
         self.sample[v as usize] = Some(Arc::new(sample_sorted(rng, &t, tau)));
     }
@@ -466,7 +461,7 @@ impl<'a> EvalState<'a> {
             table2: table2.as_deref(),
             pool: Some(self.env.pool()),
         };
-        let out = execute_edge_op_with(
+        let out = execute_edge_op(
             EdgeOpCtx {
                 class,
                 mode: ExecMode::Full,
@@ -568,18 +563,6 @@ impl<'a> EvalState<'a> {
             }
         }
         self.scratch.recycle(pool);
-    }
-
-    /// Sum of all logged intermediate result sizes (Fig. 5's metric), over
-    /// equi-join edges only when `joins_only` is set.
-    pub fn cumulative_intermediate(&self, joins_only: bool) -> u64 {
-        self.edge_log
-            .iter()
-            .filter(|x| {
-                !joins_only || matches!(self.graph.edge(x.edge).kind, EdgeKind::EquiJoin { .. })
-            })
-            .map(|x| x.result_rows as u64)
-            .sum()
     }
 
     /// The node kind of a vertex (text/attr distinction for value joins).
@@ -742,29 +725,5 @@ mod tests {
         }
         let rel = st.finalize();
         assert_eq!(rel.len(), 10); // "v7" appears 10 times in the big doc
-    }
-
-    #[test]
-    fn cumulative_intermediate_counts() {
-        let (cat, g) = setup(
-            r#"for $x in doc("x.xml")//a, $y in doc("y.xml")//b
-               where $x/text() = $y/text() return $x"#,
-            &[
-                ("x.xml", "<r><a>k</a></r>"),
-                ("y.xml", "<r><b>k</b><b>k</b></r>"),
-            ],
-        );
-        let env = RoxEnv::new(cat, &g).unwrap();
-        let mut st = EvalState::new(&env, &g);
-        for e in g.edges() {
-            if e.redundant {
-                st.mark_executed(e.id);
-            }
-        }
-        for e in st.unexecuted_edges() {
-            st.execute_edge(e, None);
-        }
-        assert!(st.cumulative_intermediate(false) >= st.cumulative_intermediate(true));
-        assert!(st.cumulative_intermediate(true) >= 2);
     }
 }

@@ -21,7 +21,8 @@
 
 use proptest::prelude::*;
 use rox_core::{
-    run_plan_with_env, run_rox, CheckKind, PlanReuse, RoxEngine, RoxEnv, RoxOptions, RunMode,
+    run_plan_with_env, run_rox, run_rox_with_env, CheckKind, PlanReuse, RoxEngine, RoxEnv,
+    RoxOptions, RunMode,
 };
 use rox_datagen::{generate_xmark, XmarkConfig};
 use rox_joingraph::JoinGraph;
@@ -215,8 +216,13 @@ fn cardinality_inflation_breaches_a_sampled_precheck() {
         .spot_checks
         .iter()
         .any(|c| c.breached && c.kind == CheckKind::SampledWeight));
-    let fresh = run_rox(
-        Arc::clone(inj.engine().catalog()),
+    // Demoted before any edge executed, the run *is* a fresh optimization
+    // of the drifted catalog: Phase 1 seeds from untouched vertices either
+    // way, so order, per-edge log, execution work and output all coincide
+    // (only the spot probes' sampling charge sets the two apart).
+    let env = RoxEnv::new(Arc::clone(inj.engine().catalog()), &g).unwrap();
+    let fresh = run_rox_with_env(
+        &env,
         &g,
         RoxOptions {
             seed: opts.seed,
@@ -225,6 +231,9 @@ fn cardinality_inflation_breaches_a_sampled_precheck() {
         },
     )
     .unwrap();
+    assert_eq!(drifted.executed_order, fresh.executed_order);
+    assert_eq!(drifted.edge_log, fresh.edge_log);
+    assert_eq!(drifted.exec_cost, fresh.exec_cost);
     assert_eq!(drifted.output, fresh.output);
 }
 

@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use rox_core::{
-    naive_evaluate, run_plan_with_env_parallel, run_rox_with_env, EdgeOpKind, Parallelism, RoxEnv,
+    naive_evaluate, run_plan_with_env, run_rox_with_env, EdgeOpKind, Parallelism, RoxEnv,
     RoxOptions,
 };
 use rox_xmldb::Catalog;
@@ -113,7 +113,9 @@ fn check(site: &str, reg: &str, qi: usize, seed: u64) -> Result<(), String> {
     // 2. Plan replay through the same kernel reproduces the run exactly —
     //    including which physical operator each edge used.
     for replay_par in [Parallelism::Sequential, Parallelism::Threads(2)] {
-        let replay = run_plan_with_env_parallel(&env, &graph, &seq.executed_order, replay_par)
+        let replay_env =
+            RoxEnv::with_parallelism(Arc::clone(&catalog), &graph, replay_par).unwrap();
+        let replay = run_plan_with_env(&replay_env, &graph, &seq.executed_order)
             .map_err(|e| e.to_string())?;
         if replay.output != seq.output {
             return Err("replay output differs".into());

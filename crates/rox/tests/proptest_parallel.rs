@@ -6,7 +6,7 @@
 //! enable everywhere.
 
 use proptest::prelude::*;
-use rox_core::{run_plan_parallel, run_rox, Parallelism, RoxOptions};
+use rox_core::{run_plan_with_env, run_rox, Parallelism, RoxEnv, RoxOptions};
 use rox_xmldb::Catalog;
 use std::sync::Arc;
 
@@ -182,7 +182,8 @@ fn plan_replay_is_identical_under_parallelism() {
         .map(|e| e.id)
         .collect();
     let seq = rox_core::run_plan(Arc::clone(&catalog), &graph, &order).unwrap();
-    let par = run_plan_parallel(catalog, &graph, &order, Parallelism::Threads(4)).unwrap();
+    let env = RoxEnv::with_parallelism(catalog, &graph, Parallelism::Threads(4)).unwrap();
+    let par = run_plan_with_env(&env, &graph, &order).unwrap();
     assert_eq!(par.output, seq.output);
     assert_eq!(par.edge_log, seq.edge_log);
     assert_eq!(par.cost, seq.cost);

@@ -139,39 +139,6 @@ fn half_pool_warm_replay_keeps_reused_pages_resident() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The eager cold path: a prefetched open decodes everything up front,
-/// fanning the per-segment work across the engine's worker pool, so the
-/// first query touches no storage at all.
-#[test]
-fn prefetched_open_is_resident_before_the_first_query() {
-    let path = snap_path("prefetched");
-    let fresh = parsed_engine(SITE_V1);
-    let expected = run(&fresh);
-    fresh.save_snapshot(&path).unwrap();
-
-    let engine = RoxEngine::open_snapshot_prefetched(&path, None).unwrap();
-    let id = engine.catalog().resolve("site.xml").unwrap();
-    assert!(
-        engine.catalog().get(id).is_some(),
-        "document must be resident before the first query"
-    );
-    let after_open = engine.stats();
-    assert!(
-        after_open.storage_par_decodes >= 2,
-        "decode must dispatch through the worker pool: {after_open:?}"
-    );
-    assert!(after_open.storage_loads >= 2, "doc + indexes installed");
-
-    assert_eq!(run(&engine), expected, "prefetched output diverged");
-    let stats = engine.stats();
-    assert_eq!(stats.index_builds, 0, "indexes must decode, not rebuild");
-    assert_eq!(
-        stats.storage_loads, after_open.storage_loads,
-        "the warm query must not fault anything else in"
-    );
-    std::fs::remove_file(&path).ok();
-}
-
 /// Records every event the engine routes through the sink.
 #[derive(Default)]
 struct RecordingSink {

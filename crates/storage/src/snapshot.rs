@@ -46,13 +46,11 @@ use crate::page::{encode_page, DEFAULT_PAGE_SIZE, MIN_PAGE_SIZE, PAGE_HEADER};
 use crate::pool::{BufferPool, PoolStats};
 use parking_lot::RwLock;
 use rox_index::{DocIndexes, DocSource, ElementIndex, IndexedStore, SymbolTable, ValueIndex};
-use rox_par::WorkerPool;
 use rox_xmldb::{Catalog, DocId, Document, Interner, NodeKind, Pre, Symbol};
 use std::collections::HashSet;
 use std::fs::File;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// File magic of a snapshot header page payload.
@@ -327,7 +325,6 @@ impl Snapshot {
             dir,
             interner,
             stale: RwLock::new(HashSet::new()),
-            par_decodes: AtomicU64::new(0),
         });
         Ok((catalog, source))
     }
@@ -344,8 +341,6 @@ pub struct SnapshotSource {
     /// Documents whose live copy diverged from the stored one: their
     /// stored *index* segments must never be served again.
     stale: RwLock<HashSet<DocId>>,
-    /// Segments decoded by [`SnapshotSource::decode_all`] fan-outs.
-    par_decodes: AtomicU64,
 }
 
 impl SnapshotSource {
@@ -412,52 +407,6 @@ impl SnapshotSource {
         Ok(Some(Arc::new(indexes)))
     }
 
-    /// Decode **every** stored document and its indices, fanning the
-    /// per-segment decode across `workers` with a budget of `threads`
-    /// (the warm-everything cold path: one readahead-batched scan per
-    /// segment instead of page-at-a-time faulting on first touch).
-    /// Results come back in directory order; stale documents get
-    /// `None` indices, exactly as [`SnapshotSource::try_indexes`] would
-    /// serve them.
-    pub fn decode_all(&self, workers: &WorkerPool, threads: usize) -> Result<Vec<DecodedEntry>> {
-        // Two tasks per document — document and index segments decode
-        // independently, so a single huge document still splits in two.
-        let tasks = self.dir.len() * 2;
-        let results = workers.par_map(threads.max(2), tasks, |t| {
-            let id = DocId((t / 2) as u32);
-            self.par_decodes.fetch_add(1, Ordering::Relaxed);
-            if t % 2 == 0 {
-                self.try_document(id).map(DecodedHalf::Doc)
-            } else {
-                self.try_indexes(id).map(DecodedHalf::Indexes)
-            }
-        });
-        let mut out = Vec::with_capacity(self.dir.len());
-        let mut halves = results.into_iter();
-        for i in 0..self.dir.len() {
-            let id = DocId(i as u32);
-            let doc = match halves.next().expect("one doc half per entry")? {
-                DecodedHalf::Doc(Some(doc)) => doc,
-                _ => {
-                    return Err(StorageError::Format(format!(
-                        "directory entry {i} has no document segment"
-                    )))
-                }
-            };
-            let indexes = match halves.next().expect("one index half per entry")? {
-                DecodedHalf::Indexes(idx) => idx,
-                DecodedHalf::Doc(_) => unreachable!("odd task index decodes indexes"),
-            };
-            out.push((id, doc, indexes));
-        }
-        Ok(out)
-    }
-
-    /// Segments decoded through [`SnapshotSource::decode_all`] fan-outs.
-    pub fn par_decodes(&self) -> u64 {
-        self.par_decodes.load(Ordering::Relaxed)
-    }
-
     /// Per-segment codec choices, in directory order: segment name
     /// (`uri#doc` / `uri#index`) and the [`RunCodec`]s its packed runs
     /// used.
@@ -483,16 +432,6 @@ impl SnapshotSource {
     pub fn is_stale(&self, id: DocId) -> bool {
         self.stale.read().contains(&id)
     }
-}
-
-/// One [`SnapshotSource::decode_all`] result: a document and its stored
-/// indices (`None` when the document is marked stale).
-pub type DecodedEntry = (DocId, Arc<Document>, Option<Arc<DocIndexes>>);
-
-/// One half of a [`SnapshotSource::decode_all`] task's result.
-enum DecodedHalf {
-    Doc(Option<Arc<Document>>),
-    Indexes(Option<Arc<DocIndexes>>),
 }
 
 impl DocSource for SnapshotSource {
@@ -847,7 +786,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_columns_shrink_and_decode_all_fans_out() {
+    fn packed_columns_shrink_and_decode_to_the_originals() {
         let path = temp_snapshot("packed");
         let store = sample_store();
         let report = Snapshot::save_with_page_size(&path, &store, 128).unwrap();
@@ -864,26 +803,20 @@ mod tests {
             .iter()
             .any(|(name, cs)| name.ends_with("#doc") && !cs.is_empty()));
 
-        // decode_all fans both segments of every document through the
-        // worker pool and returns directory order.
-        let workers = WorkerPool::new(2);
-        let before = workers.batch_tasks();
-        let all = source.decode_all(&workers, 2).unwrap();
-        assert_eq!(workers.batch_tasks() - before, 4);
-        assert_eq!(source.par_decodes(), 4);
-        assert_eq!(all.len(), 2);
-        for (id, doc, indexes) in all {
+        // Both segments of every document decode to what was saved.
+        assert_eq!(source.doc_count(), 2);
+        for id in catalog.doc_ids() {
             let orig = store.doc(id);
+            let doc = source.try_document(id).unwrap().expect("stored");
             assert_eq!(doc.columns().name, orig.columns().name);
-            let idx = indexes.expect("nothing stale");
+            let idx = source.try_indexes(id).unwrap().expect("nothing stale");
             assert_eq!(idx.element.elements(), store.indexes(id).element.elements());
         }
 
         // Stale documents come back without stored indices.
         let id = catalog.resolve("tiny.xml").unwrap();
         source.mark_stale(id);
-        let all = source.decode_all(&workers, 2).unwrap();
-        assert!(all[id.index()].2.is_none());
+        assert!(source.try_indexes(id).unwrap().is_none());
         std::fs::remove_file(&path).ok();
     }
 
