@@ -158,26 +158,6 @@ impl PreSet {
         set
     }
 
-    /// Clear the set and resize it for a new universe, keeping the word
-    /// buffer's allocation when it already fits — the reuse hook of the
-    /// scratch pool (`rox_ops::pool`). Bit-identical to a fresh
-    /// [`PreSet::new`]`(universe)`.
-    pub fn reset(&mut self, universe: usize) {
-        let words = universe.div_ceil(64);
-        self.words.clear();
-        self.words.resize(words, 0);
-        self.len = 0;
-    }
-
-    /// Reset to `universe` and insert every node of `nodes` — the pooled
-    /// counterpart of [`PreSet::from_nodes`].
-    pub fn reset_from_nodes(&mut self, universe: usize, nodes: &[Pre]) {
-        self.reset(universe);
-        for &p in nodes {
-            self.insert(p);
-        }
-    }
-
     /// Insert one node. The node must lie below the construction universe.
     #[inline]
     pub fn insert(&mut self, p: Pre) {
@@ -200,13 +180,6 @@ impl PreSet {
     #[inline]
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// Retained allocation of the word buffer, in 64-bit words (the
-    /// size-bounding metric of the scratch pool).
-    #[inline]
-    pub fn word_capacity(&self) -> usize {
-        self.words.capacity()
     }
 
     /// Is the set empty?

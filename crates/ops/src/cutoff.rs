@@ -7,7 +7,6 @@
 //! carries exactly that bookkeeping for every pair-producing operator.
 
 use crate::cost::Cost;
-use crate::pool::ScratchPool;
 use rox_xmldb::Pre;
 
 /// Output of a (possibly cut-off) pair-producing join.
@@ -92,18 +91,14 @@ impl<T> JoinOut<T> {
 }
 
 impl JoinOut<Pre> {
-    /// Fresh output for a context of `ctx_len` tuples, its pair buffer
-    /// leased from `pool` when one is given (the caller hands `self.pairs`
-    /// back via [`ScratchPool::give_pairs`] once consumed). Capacity is
+    /// Fresh output for a context of `ctx_len` tuples. Capacity is
     /// reserved up front: `min(limit, ctx_len)` when a cut-off is known
     /// (a heuristic — output is bounded by `limit`, not `ctx_len`, so a
     /// high-fan-out context can still grow the buffer), else `ctx_len`
     /// capped at a sane default.
-    pub fn with_limit(ctx_len: usize, limit: Option<usize>, pool: Option<&ScratchPool>) -> Self {
-        let mut pairs = pool.map(ScratchPool::lease_pairs).unwrap_or_default();
-        pairs.reserve(limit.unwrap_or(MAX_PREALLOC_PAIRS).min(ctx_len));
+    pub fn with_limit(ctx_len: usize, limit: Option<usize>) -> Self {
         JoinOut {
-            pairs,
+            pairs: Vec::with_capacity(limit.unwrap_or(MAX_PREALLOC_PAIRS).min(ctx_len)),
             truncated: false,
             ctx_len,
             fully_processed: None,
@@ -118,7 +113,7 @@ mod tests {
     #[test]
     fn non_truncated_estimate_is_exact() {
         let mut cost = Cost::new();
-        let mut out = JoinOut::with_limit(10, None, None);
+        let mut out = JoinOut::with_limit(10, None);
         for i in 0..5u32 {
             assert!(!out.emit(i, i * 10, usize::MAX, &mut cost));
             out.ctx_done(i);
@@ -130,7 +125,7 @@ mod tests {
     #[test]
     fn truncated_estimate_extrapolates() {
         let mut cost = Cost::new();
-        let mut out = JoinOut::with_limit(100, None, None);
+        let mut out = JoinOut::with_limit(100, None);
         // 20 pairs produced while only the first 10 context tuples were seen.
         for i in 0..10u32 {
             out.emit(i, 0, 20, &mut cost);
@@ -145,7 +140,7 @@ mod tests {
     #[test]
     fn distinct_results_dedup_and_sort() {
         let mut cost = Cost::new();
-        let mut out = JoinOut::with_limit(3, None, None);
+        let mut out = JoinOut::with_limit(3, None);
         out.emit(0, 9, usize::MAX, &mut cost);
         out.emit(1, 3, usize::MAX, &mut cost);
         out.emit(2, 9, usize::MAX, &mut cost);
@@ -155,7 +150,7 @@ mod tests {
 
     #[test]
     fn empty_context_is_safe() {
-        let out: JoinOut<u32> = JoinOut::with_limit(0, None, None);
+        let out: JoinOut<u32> = JoinOut::with_limit(0, None);
         assert_eq!(out.estimate(), 0.0);
         assert_eq!(out.reduction_factor(), 1.0);
     }
@@ -164,12 +159,12 @@ mod tests {
     fn capacity_reserved_up_front() {
         // Cut-off known: reserve min(limit, ctx_len) so the sampling path
         // never reallocates.
-        let out: JoinOut<u32> = JoinOut::with_limit(1000, Some(64), None);
+        let out: JoinOut<u32> = JoinOut::with_limit(1000, Some(64));
         assert!(out.pairs.capacity() >= 64);
-        let small: JoinOut<u32> = JoinOut::with_limit(3, Some(64), None);
+        let small: JoinOut<u32> = JoinOut::with_limit(3, Some(64));
         assert!(small.pairs.capacity() >= 3);
         // No cut-off: ctx_len capped at the pre-allocation bound.
-        let unbounded: JoinOut<u32> = JoinOut::with_limit(1 << 24, None, None);
+        let unbounded: JoinOut<u32> = JoinOut::with_limit(1 << 24, None);
         assert!(unbounded.pairs.capacity() <= MAX_PREALLOC_PAIRS * 2);
     }
 }

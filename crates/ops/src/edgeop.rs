@@ -29,10 +29,9 @@
 use crate::axis::Axis;
 use crate::cost::{choose_op, Cost};
 use crate::cutoff::JoinOut;
-use crate::pool::ScratchPool;
 use crate::staircase::{naive_axis, step_join, step_join_kernel, StepScratch};
 use crate::valjoin::{filter_set, hash_value_join_kernel, index_value_join_kernel};
-use rox_index::{PreSet, SymbolTable, ValueIndex};
+use rox_index::{PreSet, ValueIndex};
 use rox_par::{Parallelism, WorkerPool};
 use rox_xmldb::{Document, NodeKind, Pre};
 
@@ -185,13 +184,11 @@ pub struct EdgeOpOut {
     pub result: EdgeOpResult,
 }
 
-/// Prebuilt dense join state for one kernel invocation, mirroring the two
-/// inputs of [`EdgeOpCtx`]: membership bitsets over each input and CSR
-/// join tables built over each input's value symbols. All fields are
-/// optional — the kernel builds whatever it needs on the fly when a field
-/// is `None` — and results and cost charges are identical either way; a
-/// caller with a scratch arena (the evaluation state) passes cached
-/// structures here purely to skip the rebuild.
+/// Membership bitsets the caller already holds over the two inputs of
+/// [`EdgeOpCtx`]. Both are optional: the caller passes whatever it has
+/// cached without predicting which operator will run; the kernel uses a
+/// set when the operator it chose needs one and builds its own when the
+/// field is `None`. Results and cost charges are identical either way.
 #[derive(Default, Clone, Copy)]
 pub struct DenseState<'a> {
     /// Membership bitset over `input1` (the inner filter of a value join,
@@ -200,13 +197,6 @@ pub struct DenseState<'a> {
     pub set1: Option<&'a PreSet>,
     /// Membership bitset over `input2`.
     pub set2: Option<&'a PreSet>,
-    /// CSR join table over `input1`'s value symbols (hash value joins).
-    pub table1: Option<&'a SymbolTable>,
-    /// CSR join table over `input2`'s value symbols.
-    pub table2: Option<&'a SymbolTable>,
-    /// Scratch pool for pair buffers, bitset universes, and full-mode
-    /// output orientation (see [`crate::pool`]).
-    pub pool: Option<&'a ScratchPool>,
 }
 
 /// Execute one edge through the kernel: consult
@@ -214,9 +204,9 @@ pub struct DenseState<'a> {
 /// decision, run the operator, and — in full mode — orient the produced
 /// pairs back into `(v1, v2)` order. All operator work is charged to
 /// `cost`, exactly as the underlying operator charges it. `dense` carries
-/// the caller's cached bitsets / CSR tables / buffer pool
-/// (`DenseState::default()` builds everything on the fly); output,
-/// operator choice, and cost charges are identical either way.
+/// the caller's cached membership sets (`DenseState::default()` builds
+/// everything on the fly); output, operator choice, and cost charges are
+/// identical either way.
 pub fn execute_edge_op(ctx: EdgeOpCtx<'_>, dense: DenseState<'_>, cost: &mut Cost) -> EdgeOpOut {
     let choice = choose_op(ctx.class, ctx.input1.len(), ctx.input2.len(), ctx.mode);
     // `inner_set` is the caller's cached membership bitset over the inner
@@ -248,11 +238,10 @@ pub fn execute_edge_op(ctx: EdgeOpCtx<'_>, dense: DenseState<'_>, cost: &mut Cos
                 ExecMode::Full => {
                     // The bitset kernel's candidate set is the inner
                     // endpoint's membership set; without a cached one the
-                    // kernel builds/pools its own.
+                    // kernel builds its own.
                     let scratch = StepScratch {
                         kernel: None,
                         cands_set: inner_set,
-                        pool: dense.pool,
                         par: ctx.par,
                         workers: ctx.workers,
                     };
@@ -283,13 +272,6 @@ pub fn execute_edge_op(ctx: EdgeOpCtx<'_>, dense: DenseState<'_>, cost: &mut Cos
                 inner_kind,
                 Some(inner_set),
                 limit,
-                // Sampled outputs travel up to the estimator whole; only
-                // full-mode pair buffers return to the pool (right below,
-                // after orientation).
-                match ctx.mode {
-                    ExecMode::Full => dense.pool,
-                    ExecMode::Sampled { .. } => None,
-                },
                 cost,
             )
         }
@@ -301,9 +283,6 @@ pub fn execute_edge_op(ctx: EdgeOpCtx<'_>, dense: DenseState<'_>, cost: &mut Cos
                 ctx.input1,
                 ctx.doc2,
                 ctx.input2,
-                dense.table1,
-                dense.table2,
-                dense.pool,
                 ctx.workers,
                 ctx.par,
                 cost,
@@ -318,28 +297,16 @@ pub fn execute_edge_op(ctx: EdgeOpCtx<'_>, dense: DenseState<'_>, cost: &mut Cos
     let result = match ctx.mode {
         ExecMode::Sampled { .. } => EdgeOpResult::Sampled(rows),
         ExecMode::Full => {
-            // Resolve outer rows to nodes and orient pairs as (v1, v2);
-            // the orientation buffer is pool-leased (the caller returns
-            // it once the pairs are composed into the component
-            // relation), and the kernel's pair buffer flows straight
-            // back.
-            let mut pairs = match dense.pool {
-                Some(pool) => pool.lease_node_pairs(),
-                None => Vec::new(),
-            };
-            pairs.reserve(rows.pairs.len());
-            pairs.extend(rows.pairs.iter().map(|&(row, s)| {
+            // Resolve outer rows to nodes and orient pairs as (v1, v2).
+            let pairs = rows.pairs.iter().map(|&(row, s)| {
                 let c = outer[row as usize];
                 if choice.outer_is_v1 {
                     (c, s)
                 } else {
                     (s, c)
                 }
-            }));
-            if let Some(pool) = dense.pool {
-                pool.give_pairs(rows.pairs);
-            }
-            EdgeOpResult::Full(pairs)
+            });
+            EdgeOpResult::Full(pairs.collect())
         }
     };
     EdgeOpOut { choice, result }

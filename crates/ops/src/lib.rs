@@ -24,7 +24,6 @@ pub mod axis;
 pub mod cost;
 pub mod cutoff;
 pub mod edgeop;
-pub mod pool;
 pub mod relation;
 pub mod staircase;
 pub mod tail;
@@ -41,7 +40,6 @@ pub use edgeop::{
     edge_predicate, execute_edge_op, DenseState, EdgeClass, EdgeOpChoice, EdgeOpCtx, EdgeOpKind,
     EdgeOpOut, EdgeOpResult, ExecMode,
 };
-pub use pool::{PoolStats, ScratchPool, MAX_POOLED_PER_SHAPE};
 pub use relation::{Relation, VarId};
 pub use rox_index::{PreSet, SymbolTable};
 pub use rox_par::Parallelism;

@@ -17,10 +17,8 @@
 //! row filtering, sorting, dedup, cartesian products) works column-wise
 //! with index **gathers** — no per-row `Vec` is ever built, and the hot
 //! [`Relation::compose`] resolves node→row matches through a sorted
-//! `(node, row)` index instead of a `HashMap`. Buffers come from the
-//! caller's [`ScratchPool`] where one is given.
+//! `(node, row)` index instead of a `HashMap`.
 
-use crate::pool::ScratchPool;
 use rand::Rng;
 use rox_xmldb::catalog::DocId;
 use rox_xmldb::{NodeId, Pre};
@@ -107,18 +105,10 @@ impl Relation {
     /// Distinct nodes of `var`'s column, sorted in document order — the
     /// paper's `T(v)` as a projection of the component relation.
     pub fn distinct_nodes(&self, var: VarId) -> Vec<Pre> {
-        let mut nodes = Vec::new();
-        self.distinct_nodes_into(var, &mut nodes);
+        let mut nodes = self.col(var).to_vec();
+        nodes.sort_unstable();
+        nodes.dedup();
         nodes
-    }
-
-    /// As [`Relation::distinct_nodes`] into a caller-provided (pooled)
-    /// buffer.
-    pub fn distinct_nodes_into(&self, var: VarId, out: &mut Vec<Pre>) {
-        out.clear();
-        out.extend_from_slice(self.col(var));
-        out.sort_unstable();
-        out.dedup();
     }
 
     /// Append one row; `row` must be parallel to the schema.
@@ -247,6 +237,9 @@ impl Relation {
     ///
     /// This is how the evaluator turns a node-level structural or value
     /// join into the component-level join while preserving multiplicities.
+    /// Row matching goes through a sorted index per side (node → rows, one
+    /// binary search per lookup), and output rows are produced as one
+    /// **gather per column** — never row by row.
     pub fn compose(
         left: &Relation,
         var_a: VarId,
@@ -254,35 +247,12 @@ impl Relation {
         var_b: VarId,
         pairs: &[(Pre, Pre)],
     ) -> Relation {
-        Relation::compose_pooled(left, var_a, right, var_b, pairs, None)
-    }
-
-    /// As [`Relation::compose`] with scratch buffers (row indexes, output
-    /// columns) leased from `pool`. Row matching goes through a sorted
-    /// index per side (node → rows, one binary search per lookup), and
-    /// output rows are produced as one **gather per column** — never row
-    /// by row.
-    pub fn compose_pooled(
-        left: &Relation,
-        var_a: VarId,
-        right: &Relation,
-        var_b: VarId,
-        pairs: &[(Pre, Pre)],
-        pool: Option<&ScratchPool>,
-    ) -> Relation {
-        let lease = |p: Option<&ScratchPool>| p.map(ScratchPool::lease_pres).unwrap_or_default();
-        let give = |p: Option<&ScratchPool>, b: Vec<Pre>| {
-            if let Some(p) = p {
-                p.give_pres(b);
-            }
-        };
-        let left_index = RowIndex::build(left.col(var_a), pool);
-        let right_index = RowIndex::build(right.col(var_b), pool);
+        let left_index = RowIndex::build(left.col(var_a));
+        let right_index = RowIndex::build(right.col(var_b));
         // Matched row-index pairs, flat: (left row, right row) per output
-        // row, in pair order × left-row order × right-row order — exactly
-        // the row order the old per-pair nested loop produced.
-        let mut lrows = lease(pool);
-        let mut rrows = lease(pool);
+        // row, in pair order × left-row order × right-row order.
+        let mut lrows = Vec::new();
+        let mut rrows = Vec::new();
         for &(a, b) in pairs {
             let ls = left_index.rows(a);
             let rs = right_index.rows(b);
@@ -304,15 +274,11 @@ impl Relation {
         docs.extend_from_slice(&right.docs);
         let mut cols = Vec::with_capacity(schema.len());
         for col in &left.cols {
-            cols.push(gather(col, &lrows, pool));
+            cols.push(gather(col, &lrows));
         }
         for col in &right.cols {
-            cols.push(gather(col, &rrows, pool));
+            cols.push(gather(col, &rrows));
         }
-        give(pool, lrows);
-        give(pool, rrows);
-        left_index.recycle(pool);
-        right_index.recycle(pool);
         Relation { schema, docs, cols }
     }
 
@@ -361,26 +327,11 @@ impl Relation {
         }
         Relation { schema, docs, cols }
     }
-
-    /// Hand every column buffer back to `pool` (call when a component
-    /// relation is consumed by a join — its columns become the next
-    /// edge's gather buffers).
-    pub fn recycle(self, pool: &ScratchPool) {
-        for col in self.cols {
-            pool.give_pres(col);
-        }
-    }
 }
 
-/// Gather `col` through a row-index list into a (pooled) output column.
-fn gather(col: &[Pre], rows: &[Pre], pool: Option<&ScratchPool>) -> Vec<Pre> {
-    let mut out = match pool {
-        Some(pool) => pool.lease_pres(),
-        None => Vec::new(),
-    };
-    out.reserve(rows.len());
-    out.extend(rows.iter().map(|&i| col[i as usize]));
-    out
+/// Gather `col` through a row-index list into a fresh output column.
+fn gather(col: &[Pre], rows: &[Pre]) -> Vec<Pre> {
+    rows.iter().map(|&i| col[i as usize]).collect()
 }
 
 /// A node → row-indexes multimap over one column: the hash-free
@@ -399,18 +350,14 @@ struct RowIndex {
 }
 
 impl RowIndex {
-    fn build(col: &[Pre], pool: Option<&ScratchPool>) -> RowIndex {
-        let lease = |p: Option<&ScratchPool>| p.map(ScratchPool::lease_pres).unwrap_or_default();
-        let mut pairs = pool.map(ScratchPool::lease_node_pairs).unwrap_or_default();
-        pairs.extend(col.iter().enumerate().map(|(row, &p)| (p, row as Pre)));
+    fn build(col: &[Pre]) -> RowIndex {
+        let mut pairs: Vec<(Pre, Pre)> = col
+            .iter()
+            .enumerate()
+            .map(|(row, &p)| (p, row as Pre))
+            .collect();
         pairs.sort_unstable();
-        let mut keys = lease(pool);
-        let mut rows = lease(pool);
-        keys.extend(pairs.iter().map(|&(p, _)| p));
-        rows.extend(pairs.iter().map(|&(_, row)| row));
-        if let Some(pool) = pool {
-            pool.give_node_pairs(pairs);
-        }
+        let (keys, rows) = pairs.into_iter().unzip();
         RowIndex { keys, rows }
     }
 
@@ -419,13 +366,6 @@ impl RowIndex {
         let start = self.keys.partition_point(|&k| k < p);
         let end = start + self.keys[start..].partition_point(|&k| k == p);
         &self.rows[start..end]
-    }
-
-    fn recycle(self, pool: Option<&ScratchPool>) {
-        if let Some(pool) = pool {
-            pool.give_pres(self.keys);
-            pool.give_pres(self.rows);
-        }
     }
 }
 
@@ -481,28 +421,6 @@ mod tests {
         let pairs = vec![(4, 7), (3, 9)];
         let j = Relation::compose(&left, 1, &right, 2, &pairs);
         assert!(j.is_empty());
-    }
-
-    #[test]
-    fn compose_pooled_matches_unpooled() {
-        let pool = ScratchPool::new();
-        let left = rel(1, &[3, 3, 5, 9]);
-        let right = rel(2, &[7, 8, 7]);
-        let pairs = vec![(3, 7), (5, 8), (9, 7)];
-        let plain = Relation::compose(&left, 1, &right, 2, &pairs);
-        let pooled = Relation::compose_pooled(&left, 1, &right, 2, &pairs, Some(&pool));
-        assert_eq!(pooled, plain);
-        assert!(pool.stats().leases > 0);
-        // Recycle and recompose: buffers come back from the pool.
-        pooled.recycle(&pool);
-        let misses = pool.stats().misses;
-        let again = Relation::compose_pooled(&left, 1, &right, 2, &pairs, Some(&pool));
-        assert_eq!(again, plain);
-        assert_eq!(
-            pool.stats().misses,
-            misses,
-            "warm compose must not allocate"
-        );
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   from the node's stored level. The only kernel cut-off sampling uses.
 //! * [`StepKernel::Bitset`] — the same walk with membership answered by
 //!   a [`PreSet`] (one shift + mask). The set is the caller's cached one
-//!   ([`StepScratch::cands_set`], the evaluation state's scratch arena),
-//!   a pooled universe, or built on the fly. Full execution only.
+//!   ([`StepScratch::cands_set`], the evaluation state's scratch arena)
+//!   or built on the fly. Full execution only.
 //!
 //! Both kernels are **bit-identical** in pairs, pair order, truncation
 //! point, and [`Cost`] charges (pinned by
@@ -51,7 +51,7 @@
 use crate::axis::Axis;
 use crate::cost::{choose_step_kernel, Cost, StepKernel, MIN_PARTITION_INPUT};
 use crate::cutoff::JoinOut;
-use crate::pool::ScratchPool;
+use crate::valjoin::filter_set;
 use rox_index::PreSet;
 use rox_par::{chunk_ranges, Parallelism, WorkerPool};
 use rox_xmldb::{Document, NodeKind, Pre};
@@ -70,9 +70,6 @@ pub struct StepScratch<'a> {
     /// A membership set over exactly the call's candidate list (the
     /// evaluation state caches one per vertex table version).
     pub cands_set: Option<&'a PreSet>,
-    /// Buffer pool for the pair output and, when `cands_set` is absent,
-    /// the bitset kernel's universe.
-    pub pool: Option<&'a ScratchPool>,
     /// Worker-thread budget for full execution (ignored under a cut-off).
     pub par: Parallelism,
     /// The worker pool morsels fan out on; `None` uses the process-shared
@@ -130,15 +127,9 @@ pub fn step_join_kernel(
         .kernel
         .unwrap_or_else(|| choose_step_kernel(axis, ctx.len(), cands.len(), limit.is_some()));
     // The bitset kernel's membership set: the caller's cached one, else a
-    // pooled universe, else a fresh build — resolved once so morsels
-    // share it.
-    let owned_set = (kernel == StepKernel::Bitset && scratch.cands_set.is_none()).then(|| {
-        let universe = cands.last().map_or(0, |&p| p as usize + 1);
-        match scratch.pool {
-            Some(pool) => pool.lease_set(universe, cands),
-            None => PreSet::from_nodes(universe, cands),
-        }
-    });
+    // fresh build — resolved once so morsels share it.
+    let owned_set =
+        (kernel == StepKernel::Bitset && scratch.cands_set.is_none()).then(|| filter_set(cands));
     let set = match kernel {
         StepKernel::Probe => None,
         StepKernel::Bitset => scratch.cands_set.or(owned_set.as_ref()),
@@ -149,46 +140,29 @@ pub fn step_join_kernel(
             .par
             .effective_threads(ctx.len(), MIN_PARTITION_INPUT),
     };
-    let out = if threads <= 1 {
-        probe_walk(doc, axis, ctx, cands, set, limit, scratch.pool, cost)
-    } else {
-        let morsels = chunk_ranges(ctx.len(), threads * 4);
-        let workers = scratch.workers.unwrap_or_else(|| WorkerPool::shared());
-        let runs = workers.par_map(threads, morsels.len(), |i| {
-            let mut local = Cost::new();
-            let morsel = &ctx[morsels[i].clone()];
-            let mut out = probe_walk(
-                doc,
-                axis,
-                morsel,
-                cands,
-                set,
-                None,
-                scratch.pool,
-                &mut local,
-            );
-            // Row ids are positions within the morsel slice; shift them
-            // back into the full context's row space before merging.
-            let base = morsels[i].start as u32;
-            for p in &mut out.pairs {
-                p.0 += base;
-            }
-            (out, local)
-        });
-        let mut merged = JoinOut::with_limit(ctx.len(), None, scratch.pool);
-        for (out, local) in runs {
-            merged.pairs.extend_from_slice(&out.pairs);
-            if let Some(pool) = scratch.pool {
-                pool.give_pairs(out.pairs);
-            }
-            cost.add(local);
-        }
-        merged
-    };
-    if let (Some(set), Some(pool)) = (owned_set, scratch.pool) {
-        pool.give_set(set);
+    if threads <= 1 {
+        return probe_walk(doc, axis, ctx, cands, set, limit, cost);
     }
-    out
+    let morsels = chunk_ranges(ctx.len(), threads * 4);
+    let workers = scratch.workers.unwrap_or_else(|| WorkerPool::shared());
+    let runs = workers.par_map(threads, morsels.len(), |i| {
+        let mut local = Cost::new();
+        let morsel = &ctx[morsels[i].clone()];
+        let mut out = probe_walk(doc, axis, morsel, cands, set, None, &mut local);
+        // Row ids are positions within the morsel slice; shift them
+        // back into the full context's row space before merging.
+        let base = morsels[i].start as u32;
+        for p in &mut out.pairs {
+            p.0 += base;
+        }
+        (out, local)
+    });
+    let mut merged = JoinOut::with_limit(ctx.len(), None);
+    for (out, local) in runs {
+        merged.pairs.extend_from_slice(&out.pairs);
+        cost.add(local);
+    }
+    merged
 }
 
 /// Candidate membership for the probe walk: the range prune applies to
@@ -209,7 +183,6 @@ fn member(cands: &[Pre], set: Option<&PreSet>, lo: Pre, hi: Pre, p: Pre) -> bool
 /// node, traverse the axis and test every produced node. One probe is
 /// charged per produced node whether or not the range prune skips its
 /// lookup, so charges are independent of pruning and membership backend.
-#[allow(clippy::too_many_arguments)]
 fn probe_walk(
     doc: &Document,
     axis: Axis,
@@ -217,10 +190,9 @@ fn probe_walk(
     cands: &[Pre],
     set: Option<&PreSet>,
     limit: Option<usize>,
-    pool: Option<&ScratchPool>,
     cost: &mut Cost,
 ) -> JoinOut<Pre> {
-    let mut out = JoinOut::with_limit(ctx.len(), limit, pool);
+    let mut out = JoinOut::with_limit(ctx.len(), limit);
     let limit = limit.unwrap_or(usize::MAX);
     // Range prune bounds (empty candidate list: lo > hi rejects all).
     let lo = cands.first().copied().unwrap_or(1);
@@ -583,7 +555,7 @@ mod tests {
         parse_document("big.xml", &s).unwrap()
     }
 
-    /// The kernel entry at a worker budget, no caches, no pool.
+    /// The kernel entry at a worker budget, no cached set.
     fn run_par(
         d: &Document,
         axis: Axis,

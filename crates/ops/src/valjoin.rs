@@ -16,14 +16,13 @@
 //! [`SymbolTable`] (probe = two array reads) and `inner_filter` membership
 //! is a [`PreSet`] bitset probe — no SipHash, no per-hit binary search.
 //! The slice-based entry points build the dense structures on the fly;
-//! the edge-operator kernel ([`crate::edgeop`]) hands prebuilt ones (the
-//! evaluation state's scratch arena), a buffer pool, and a worker budget
-//! to the one crate-internal kernel-facing entry each operator has
+//! the edge-operator kernel ([`crate::edgeop`]) hands a cached filter set
+//! (the evaluation state's scratch arena) and a worker budget to the one
+//! crate-internal kernel-facing entry each operator has
 //! (`index_value_join_kernel`, `hash_value_join_kernel`).
 
 use crate::cost::{Cost, MIN_PARTITION_INPUT};
 use crate::cutoff::JoinOut;
-use crate::pool::ScratchPool;
 use rox_index::{PreSet, SymbolTable, ValueIndex};
 use rox_par::{chunk_ranges, Parallelism, WorkerPool};
 use rox_xmldb::{Document, NodeKind, Pre, Symbol};
@@ -40,11 +39,8 @@ fn join_value(doc: &Document, pre: Pre) -> Symbol {
 /// `inner_index` for each outer node and keep hits in `inner_filter` (the
 /// materialized `T(v′)` as a bitset), or all hits when `inner_filter` is
 /// `None`. Produced pairs carry the outer node's position in `outer` as
-/// their row id. The pair buffer is leased from `pool` when one is given
-/// (the caller returns `pairs` via [`ScratchPool::give_pairs`]). This is
-/// the kernel-facing entry the edge-operator kernel and the evaluation
-/// state's scratch arena feed.
-#[allow(clippy::too_many_arguments)]
+/// their row id. This is the kernel-facing entry the edge-operator kernel
+/// and the evaluation state's scratch arena feed.
 pub(crate) fn index_value_join_kernel(
     outer_doc: &Document,
     outer: &[Pre],
@@ -52,10 +48,9 @@ pub(crate) fn index_value_join_kernel(
     inner_kind: NodeKind,
     inner_filter: Option<&PreSet>,
     limit: Option<usize>,
-    pool: Option<&ScratchPool>,
     cost: &mut Cost,
 ) -> JoinOut<Pre> {
-    let mut out = JoinOut::with_limit(outer.len(), limit, pool);
+    let mut out = JoinOut::with_limit(outer.len(), limit);
     let limit = limit.unwrap_or(usize::MAX);
     'outer: for (row, &c) in outer.iter().enumerate() {
         let row = row as u32;
@@ -84,8 +79,9 @@ pub(crate) fn index_value_join_kernel(
 }
 
 /// Nested-loop index-lookup join with the filter given as a sorted slice
-/// (`None` keeps every hit): builds the [`PreSet`] on the fly (an allocation the evaluation state's
-/// scratch arena avoids by caching the set per vertex).
+/// (`None` keeps every hit): builds the [`PreSet`] on the fly (an
+/// allocation the evaluation state's scratch arena avoids by caching the
+/// set per vertex).
 pub fn index_value_join(
     outer_doc: &Document,
     outer: &[Pre],
@@ -103,7 +99,6 @@ pub fn index_value_join(
         inner_kind,
         set.as_ref(),
         limit,
-        None,
         cost,
     )
 }
@@ -158,80 +153,54 @@ pub fn hash_value_join(
         right_doc,
         right,
         None,
-        None,
-        None,
-        None,
         Parallelism::Sequential,
         cost,
     )
 }
 
-/// As [`hash_value_join`], the kernel-facing entry: optional prebuilt CSR
-/// tables per side (the evaluation state's scratch arena — a prebuilt
-/// table must cover exactly the side's current input, and its build
-/// investment is charged either way, so counters stay bit-identical to an
-/// uncached run), the output pair buffer leased from `pool` (the caller
-/// returns it via [`ScratchPool::give_node_pairs`]), and a worker budget:
+/// As [`hash_value_join`] under a worker budget, the kernel-facing entry:
 /// the table is built once on the smaller side (sequentially — an
 /// investment either way), then the larger side is probed in contiguous
 /// morsels on `workers` (`None` = the process-shared pool) and the
 /// per-morsel outputs are concatenated in morsel order. One morsel (the
 /// calling thread) below twice [`MIN_PARTITION_INPUT`] probe tuples. Pair
 /// list, orientation, order, and cost charges are the same at any budget.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn hash_value_join_kernel(
     left_doc: &Document,
     left: &[Pre],
     right_doc: &Document,
     right: &[Pre],
-    left_table: Option<&SymbolTable>,
-    right_table: Option<&SymbolTable>,
-    pool: Option<&ScratchPool>,
     workers: Option<&WorkerPool>,
     par: Parallelism,
     cost: &mut Cost,
 ) -> Vec<(Pre, Pre)> {
     let build_left = left.len() <= right.len();
-    let (build_doc, build, probe_doc, probe, prebuilt) = if build_left {
-        (left_doc, left, right_doc, right, left_table)
+    let (build_doc, build, probe_doc, probe) = if build_left {
+        (left_doc, left, right_doc, right)
     } else {
-        (right_doc, right, left_doc, left, right_table)
+        (right_doc, right, left_doc, left)
     };
-    // The build is an investment charged per input tuple, cached or not.
+    // The build is an investment charged per input tuple.
     cost.charge_in(build.len());
-    let built;
-    let table = match prebuilt {
-        Some(t) => {
-            debug_assert_eq!(t.build_len(), build.len(), "stale cached join table");
-            t
-        }
-        None => {
-            let symbols: Vec<Symbol> = build.iter().map(|&p| join_value(build_doc, p)).collect();
-            built = SymbolTable::from_pairs(&symbols, build);
-            &built
-        }
-    };
-    let lease = || pool.map(ScratchPool::lease_node_pairs).unwrap_or_default();
-    let mut pairs = lease();
+    let symbols: Vec<Symbol> = build.iter().map(|&p| join_value(build_doc, p)).collect();
+    let table = SymbolTable::from_pairs(&symbols, build);
+    let mut pairs = Vec::new();
     let threads = par.effective_threads(probe.len(), MIN_PARTITION_INPUT);
     if threads <= 1 {
-        probe_join_table(table, probe_doc, probe, build_left, cost, &mut pairs);
+        probe_join_table(&table, probe_doc, probe, build_left, cost, &mut pairs);
         return pairs;
     }
     let morsels = chunk_ranges(probe.len(), threads * 4);
     let workers = workers.unwrap_or_else(|| WorkerPool::shared());
     let runs = workers.par_map(threads, morsels.len(), |i| {
         let mut local = Cost::new();
-        let mut out = lease();
+        let mut out = Vec::new();
         let morsel = &probe[morsels[i].clone()];
-        probe_join_table(table, probe_doc, morsel, build_left, &mut local, &mut out);
+        probe_join_table(&table, probe_doc, morsel, build_left, &mut local, &mut out);
         (out, local)
     });
     for (out, local) in runs {
         pairs.extend_from_slice(&out);
-        if let Some(pool) = pool {
-            pool.give_node_pairs(out);
-        }
         cost.add(local);
     }
     pairs
@@ -370,7 +339,7 @@ mod tests {
         rox_xmldb::parse_document("big.xml", &s).unwrap()
     }
 
-    /// The kernel entry at a worker budget, no caches, no pool.
+    /// The kernel entry at a worker budget.
     fn hash_join_par(
         da: &Document,
         ta: &[Pre],
@@ -379,7 +348,7 @@ mod tests {
         par: Parallelism,
         cost: &mut Cost,
     ) -> Vec<(Pre, Pre)> {
-        hash_value_join_kernel(da, ta, db, tb, None, None, None, None, par, cost)
+        hash_value_join_kernel(da, ta, db, tb, None, par, cost)
     }
 
     #[test]

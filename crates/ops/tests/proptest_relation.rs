@@ -1,9 +1,8 @@
 //! Algebraic property tests for [`Relation`]: compose/expand laws,
-//! distinct/sort idempotence, tail invariants, and pooled-buffer
-//! equivalence of the gather-based composition.
+//! distinct/sort idempotence, and tail invariants.
 
 use proptest::prelude::*;
-use rox_ops::{Cost, Relation, ScratchPool, Tail};
+use rox_ops::{Cost, Relation, Tail};
 use rox_xmldb::catalog::DocId;
 use rox_xmldb::Pre;
 
@@ -62,10 +61,6 @@ proptest! {
         }
         let got = Relation::compose(&left, 1, &right, 2, &pairs);
         prop_assert_eq!(&got, &expected);
-        // And the pooled variant is bit-identical to the plain one.
-        let pool = ScratchPool::new();
-        let pooled = Relation::compose_pooled(&left, 1, &right, 2, &pairs, Some(&pool));
-        prop_assert_eq!(&pooled, &expected);
     }
 
     #[test]

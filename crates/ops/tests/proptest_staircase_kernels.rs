@@ -9,8 +9,7 @@
 use proptest::prelude::*;
 use rox_index::{ElementIndex, PreSet};
 use rox_ops::{
-    choose_step_kernel, step_join, step_join_kernel, Axis, Cost, JoinOut, ScratchPool, StepKernel,
-    StepScratch,
+    choose_step_kernel, step_join, step_join_kernel, Axis, Cost, JoinOut, StepKernel, StepScratch,
 };
 use rox_xmldb::catalog::DocId;
 use rox_xmldb::{Document, DocumentBuilder, NodeKind, Pre};
@@ -26,7 +25,7 @@ fn seed_step_join(
     limit: Option<usize>,
     cost: &mut Cost,
 ) -> JoinOut<Pre> {
-    let mut out = JoinOut::with_limit(ctx.len(), limit, None);
+    let mut out = JoinOut::with_limit(ctx.len(), limit);
     let limit = limit.unwrap_or(usize::MAX);
     'outer: for (row, &c) in ctx.iter().enumerate() {
         let row = row as u32;
@@ -298,19 +297,13 @@ proptest! {
     }
 
     #[test]
-    fn cached_set_and_pool_change_nothing(doc in doc_strategy(), seed in 0u64..1000) {
-        let pool = ScratchPool::new();
+    fn cached_set_changes_nothing(doc in doc_strategy(), seed in 0u64..1000) {
         for axis in AXES {
             let (ctx, cands) = inputs(&doc, axis, seed);
             let universe = cands.last().map_or(0, |&p| p as usize + 1);
             let set = PreSet::from_nodes(universe, &cands);
-            for scratch in [
-                StepScratch { cands_set: Some(&set), ..StepScratch::default() },
-                StepScratch { pool: Some(&pool), ..StepScratch::default() },
-                StepScratch { cands_set: Some(&set), pool: Some(&pool), ..StepScratch::default() },
-            ] {
-                assert_matches_seed(&doc, axis, &ctx, &cands, None, StepKernel::Bitset, scratch)?;
-            }
+            let scratch = StepScratch { cands_set: Some(&set), ..StepScratch::default() };
+            assert_matches_seed(&doc, axis, &ctx, &cands, None, StepKernel::Bitset, scratch)?;
         }
     }
 

@@ -10,8 +10,7 @@
 //! 3. [`RunDriver::optimize_remaining`] — Algorithm 1 over whatever is
 //!    still unexecuted: Phase 1 seeds samples and weights from the
 //!    *current* tables, Phase 2 alternates chain sampling with execution;
-//! 4. [`RunDriver::finish`] — finalize the join, recycle scratch, apply
-//!    the plan tail.
+//! 4. [`RunDriver::finish`] — finalize the join, apply the plan tail.
 //!
 //! The driver owns everything a run accumulates — executed order, both
 //! cost counters, both wall clocks, chain traces — so the three callers
@@ -226,13 +225,11 @@ impl<'a> RunDriver<'a> {
         }
     }
 
-    /// Finish the run: assemble the full join, hand the state's scratch
-    /// buffers back to the pool, and apply the plan tail (charged, like
-    /// finalization, to execution).
+    /// Finish the run: assemble the full join and apply the plan tail
+    /// (charged, like finalization, to execution).
     pub(crate) fn finish(mut self) -> RoxReport {
         let t_fin = Instant::now();
         let joined = self.state.finalize();
-        self.state.recycle_scratch();
         let mut exec_cost = self.state.exec_cost;
         let output = plan_tail(self.state.graph).apply(&joined, &mut exec_cost);
         RoxReport {

@@ -20,7 +20,6 @@
 use crate::engine::BaseListCache;
 use rox_index::IndexedStore;
 use rox_joingraph::{JoinGraph, VertexId, VertexLabel};
-use rox_ops::ScratchPool;
 use rox_par::{Parallelism, WorkerPool};
 use rox_xmldb::{Catalog, DocId, Document, NodeKind, Pre};
 use std::sync::{Arc, RwLock};
@@ -36,10 +35,6 @@ pub struct RoxEnv {
     /// vertex → base list, the per-query fast path onto `shared_lists`
     /// (saves re-keying the label on every `card`/`table_or_base` call).
     vertex_lists: RwLock<Vec<Option<Arc<Vec<Pre>>>>>,
-    /// Recycled execution-spine buffers — shared with the owning engine
-    /// (so a warm repeat query leases what the previous one returned) or
-    /// private to a standalone env.
-    pool: Arc<ScratchPool>,
     /// Default worker-thread budget for full edge executions: the
     /// partitioned staircase/hash joins in [`crate::state`] split their
     /// probe inputs into morsels when this allows more than one thread.
@@ -97,7 +92,6 @@ impl RoxEnv {
         Self::from_shared(
             Arc::new(IndexedStore::new(catalog)),
             Arc::new(BaseListCache::new()),
-            Arc::new(ScratchPool::new()),
             None,
             graph,
             parallelism,
@@ -110,7 +104,6 @@ impl RoxEnv {
     pub(crate) fn from_shared(
         store: Arc<IndexedStore>,
         shared_lists: Arc<BaseListCache>,
-        pool: Arc<ScratchPool>,
         workers: Option<Arc<WorkerPool>>,
         graph: &JoinGraph,
         parallelism: Parallelism,
@@ -131,7 +124,6 @@ impl RoxEnv {
             vertex_lists: RwLock::new(vec![None; vertex_doc.len()]),
             vertex_doc,
             parallelism,
-            pool,
             workers,
         })
     }
@@ -139,11 +131,6 @@ impl RoxEnv {
     /// The default worker-thread budget for full edge executions.
     pub fn parallelism(&self) -> Parallelism {
         self.parallelism
-    }
-
-    /// The scratch pool full edge executions lease their buffers from.
-    pub fn pool(&self) -> &ScratchPool {
-        &self.pool
     }
 
     /// The worker pool intra-query fan-outs (sampling, partitioned joins)
@@ -301,18 +288,15 @@ mod tests {
             compile_query(r#"for $x in doc("d.xml")//item, $q in $x/quantity return $q"#).unwrap();
         let store = Arc::new(IndexedStore::new(cat));
         let lists = Arc::new(BaseListCache::new());
-        let pool = Arc::new(ScratchPool::new());
         let env1 = RoxEnv::from_shared(
             Arc::clone(&store),
             Arc::clone(&lists),
-            Arc::clone(&pool),
             None,
             &g1,
             Parallelism::Sequential,
         )
         .unwrap();
-        let env2 =
-            RoxEnv::from_shared(store, lists, pool, None, &g2, Parallelism::Sequential).unwrap();
+        let env2 = RoxEnv::from_shared(store, lists, None, &g2, Parallelism::Sequential).unwrap();
         let item1 = g1.var_vertices["i"];
         let item2 = g2.var_vertices["x"];
         let a = env1.base_list(&g1, item1);

@@ -268,6 +268,5 @@ pub(crate) fn plan_expectations(
             inputs: exec.inputs,
         });
     }
-    state.recycle_scratch();
     expectations
 }

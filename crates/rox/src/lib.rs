@@ -65,7 +65,7 @@ pub mod state;
 pub use chain::{ChainTrace, PathSnapshot};
 pub use engine::{
     BaseListCache, CachedPlan, EngineRun, EngineStats, EngineTicket, PlanReuse, RoxEngine, RunMode,
-    ServeError, StorageEventSink, TicketOutcome,
+    ServeError, TicketOutcome,
 };
 pub use enumerate::{
     analyze_star, classical_join_order, enumerate_join_orders, plan_edges, JoinOrder, Member,

@@ -18,11 +18,10 @@
 
 use crate::env::RoxEnv;
 use rand::rngs::StdRng;
-use rox_index::{sample_sorted, PreSet, SymbolTable};
+use rox_index::{sample_sorted, PreSet};
 use rox_joingraph::{EdgeId, JoinGraph, VertexId, VertexLabel};
 use rox_ops::{
-    choose_op, choose_step_kernel, edge_predicate, execute_edge_op, Cost, DenseState, EdgeClass,
-    EdgeOpCtx, EdgeOpKind, ExecMode, Relation, StepKernel,
+    edge_predicate, execute_edge_op, Cost, DenseState, EdgeOpCtx, EdgeOpKind, ExecMode, Relation,
 };
 use rox_xmldb::{NodeKind, Pre};
 use std::sync::{Arc, RwLock};
@@ -62,58 +61,39 @@ impl EdgeExec {
     }
 }
 
-/// Per-vertex scratch arena: the dense join state (membership bitsets and
-/// CSR join tables over `T(v)`-or-base) that the estimate → chain →
-/// execute loop would otherwise rebuild for every sampled or full
-/// operator run on the same unchanged vertex table.
+/// Per-vertex scratch arena: the membership bitset over `T(v)`-or-base
+/// that the sampled index nested-loop joins of the estimate → chain loop
+/// would otherwise rebuild for every run on the same unchanged vertex
+/// table.
 ///
-/// Entries are built lazily behind shared locks (the parallel candidate
-/// sampling fan-out reads the state concurrently) and **invalidated on
-/// every write to `T(v)`** — the one rule that keeps a cached structure
-/// interchangeable with a fresh build. Reuse never changes results *or*
-/// cost counters: bitset membership is uncharged (as the binary search it
-/// replaced was), and a cached join table still bills its build
-/// investment per execution (see `rox_ops::valjoin`).
+/// Entries are built lazily by estimates ([`EvalState::vertex_set`])
+/// behind a shared lock (the parallel candidate sampling fan-out reads the
+/// state concurrently), only *peeked* at by full execution, and
+/// **invalidated on every write to `T(v)`** — the one rule that keeps a
+/// cached set interchangeable with a fresh build. Reuse never changes
+/// results *or* cost counters: bitset membership is uncharged (as the
+/// binary search it replaced was).
 struct Scratch {
     /// vertex → membership bitset over `table_or_base(v)`.
     sets: RwLock<Vec<Option<Arc<PreSet>>>>,
-    /// vertex → CSR join table over `table_or_base(v)`'s value symbols
-    /// (only ever built for value-join endpoints).
-    tables: RwLock<Vec<Option<Arc<SymbolTable>>>>,
 }
 
 impl Scratch {
     fn new(vertices: usize) -> Self {
         Scratch {
             sets: RwLock::new(vec![None; vertices]),
-            tables: RwLock::new(vec![None; vertices]),
         }
     }
 
-    /// Drop both cached structures of `v` (call on every `T(v)` write).
-    /// A bitset this state held the last reference to returns its word
-    /// buffer to the pool.
-    fn invalidate(&self, v: VertexId, pool: &rox_ops::ScratchPool) {
-        if let Some(set) = self.sets.write().expect("scratch sets")[v as usize].take() {
-            if let Ok(set) = Arc::try_unwrap(set) {
-                pool.give_set(set);
-            }
-        }
-        self.tables.write().expect("scratch tables")[v as usize] = None;
+    /// The cached set of `v`, if an estimate built one since the last
+    /// `T(v)` write.
+    fn peek(&self, v: VertexId) -> Option<Arc<PreSet>> {
+        self.sets.read().expect("scratch sets")[v as usize].clone()
     }
 
-    /// Drain every cached bitset into the pool (end-of-run cleanup).
-    fn recycle(&self, pool: &rox_ops::ScratchPool) {
-        for slot in self.sets.write().expect("scratch sets").iter_mut() {
-            if let Some(set) = slot.take() {
-                if let Ok(set) = Arc::try_unwrap(set) {
-                    pool.give_set(set);
-                }
-            }
-        }
-        for slot in self.tables.write().expect("scratch tables").iter_mut() {
-            *slot = None;
-        }
+    /// Drop the cached set of `v` (call on every `T(v)` write).
+    fn invalidate(&self, v: VertexId) {
+        self.sets.write().expect("scratch sets")[v as usize] = None;
     }
 }
 
@@ -134,8 +114,8 @@ pub struct EvalState<'a> {
     /// with their own knob (e.g. `run_rox_with_env`) override it via
     /// [`EvalState::set_parallelism`].
     parallelism: rox_par::Parallelism,
-    /// Reusable dense join state per vertex (bitsets + CSR tables),
-    /// invalidated whenever `T(v)` changes.
+    /// Reusable membership bitset per vertex, invalidated whenever `T(v)`
+    /// changes.
     scratch: Scratch,
     /// Work done by full edge executions.
     pub exec_cost: Cost,
@@ -228,38 +208,17 @@ impl<'a> EvalState<'a> {
     }
 
     /// The membership bitset over [`EvalState::table_or_base`]`(v)`, built
-    /// once per `T(v)` version and shared across every sampled and full
-    /// operator run until the table changes — the scratch-arena
-    /// counterpart of the inner filter every index nested-loop value join
-    /// probes.
+    /// once per `T(v)` version and shared across every sampled operator
+    /// run until the table changes — the scratch-arena counterpart of the
+    /// inner filter every index nested-loop value join probes.
     pub fn vertex_set(&self, v: VertexId) -> Arc<PreSet> {
-        if let Some(set) = self.scratch.sets.read().expect("scratch sets")[v as usize].as_ref() {
-            return Arc::clone(set);
+        if let Some(set) = self.scratch.peek(v) {
+            return set;
         }
         let nodes = self.table_or_base(v);
-        let set = Arc::new(
-            self.env
-                .pool()
-                .lease_set(self.env.doc(v).node_count(), &nodes),
-        );
+        let set = Arc::new(PreSet::from_nodes(self.env.doc(v).node_count(), &nodes));
         self.scratch.sets.write().expect("scratch sets")[v as usize] = Some(Arc::clone(&set));
         set
-    }
-
-    /// The CSR join table over [`EvalState::table_or_base`]`(v)`'s value
-    /// symbols (value-join endpoints only), built once per `T(v)` version.
-    /// Consumers still charge the build investment per execution, so cost
-    /// counters are identical to rebuilding every time.
-    pub fn vertex_join_table(&self, v: VertexId) -> Arc<SymbolTable> {
-        if let Some(t) = self.scratch.tables.read().expect("scratch tables")[v as usize].as_ref() {
-            return Arc::clone(t);
-        }
-        let nodes = self.table_or_base(v);
-        let doc = self.env.doc(v);
-        let symbols: Vec<rox_xmldb::Symbol> = nodes.iter().map(|&p| doc.value(p)).collect();
-        let table = Arc::new(SymbolTable::from_pairs(&symbols, &nodes));
-        self.scratch.tables.write().expect("scratch tables")[v as usize] = Some(Arc::clone(&table));
-        table
     }
 
     /// Seed `S(v)` from the current `T(v)` — the base list while the
@@ -279,14 +238,12 @@ impl<'a> EvalState<'a> {
         }
         let base = self.env.base_list(self.graph, v);
         self.exec_cost.charge_in(base.len());
-        let mut nodes = self.env.pool().lease_pres();
-        nodes.extend_from_slice(&base);
-        let rel = Relation::single(v, self.env.doc_id(v), nodes);
+        let rel = Relation::single(v, self.env.doc_id(v), base.to_vec());
         let cid = self.components.len();
         self.components.push(Some(rel));
         self.comp_of[v as usize] = Some(cid);
         self.t[v as usize] = Some(base);
-        self.scratch.invalidate(v, self.env.pool());
+        self.scratch.invalidate(v);
         self.card[v as usize] = Some(self.t[v as usize].as_ref().unwrap().len());
     }
 
@@ -322,14 +279,7 @@ impl<'a> EvalState<'a> {
             let right = self.components[c2].take().expect("live component");
             let (pairs, op) = self.node_pairs(&edge);
             let pair_count = pairs.len();
-            let pool = self.env.pool();
-            let joined = Relation::compose_pooled(&left, v1, &right, v2, &pairs, Some(pool));
-            // The consumed inputs flow back into the pool: the pair list
-            // and both operands' column buffers become the next edge's
-            // scratch.
-            pool.give_node_pairs(pairs);
-            left.recycle(pool);
-            right.recycle(pool);
+            let joined = Relation::compose(&left, v1, &right, v2, &pairs);
             self.exec_cost.charge_out(joined.len());
             // Re-point all vertices of the absorbed component.
             for v in 0..self.comp_of.len() {
@@ -358,10 +308,8 @@ impl<'a> EvalState<'a> {
         for i in 0..merged.schema().len() {
             let merged = self.components[c1].as_ref().expect("live component");
             let v = merged.schema()[i];
-            let mut distinct = self.env.pool().lease_pres();
-            merged.distinct_nodes_into(v, &mut distinct);
-            let new_card = distinct.len();
-            let t = Arc::new(distinct);
+            let t = Arc::new(merged.distinct_nodes(v));
+            let new_card = t.len();
             let stale = self.t[v as usize].as_ref().is_none_or(|old| **old != *t);
             if (stale || self.card[v as usize] != Some(new_card)) && !changed.contains(&v) {
                 changed.push(v);
@@ -370,14 +318,8 @@ impl<'a> EvalState<'a> {
             if let Some((rng, tau)) = sampler.as_mut() {
                 self.sample[v as usize] = Some(Arc::new(sample_sorted(*rng, &t, *tau)));
             }
-            // Recycle the replaced table when this state held the last
-            // reference (samples and in-flight estimates hold their own).
-            if let Some(old) = self.t[v as usize].replace(t) {
-                if let Ok(buf) = Arc::try_unwrap(old) {
-                    self.env.pool().give_pres(buf);
-                }
-            }
-            self.scratch.invalidate(v, self.env.pool());
+            self.t[v as usize] = Some(t);
+            self.scratch.invalidate(v);
         }
         changed
     }
@@ -400,70 +342,17 @@ impl<'a> EvalState<'a> {
         let indexes = (!edge.is_step())
             .then(|| (self.env.store().indexes(id1), self.env.store().indexes(id2)));
         let (kind1, kind2) = (self.vertex_kind(v1), self.vertex_kind(v2));
-        let class = edge.kind.class();
-        // Hand the kernel the scratch arena's dense join state for exactly
-        // the operator (and staircase kernel) it is about to choose —
-        // `choose_op`/`choose_step_kernel` are the same cost functions the
-        // kernel consults, so the prediction cannot drift: the inner
-        // membership bitset for an index nested loop or a bitset-kernel
-        // step, the build-side CSR table for a hash join. Cached or
-        // rebuilt, results and cost charges are identical — this only
-        // skips the rebuild.
-        let mut set1 = None;
-        let mut set2 = None;
-        let mut table1 = None;
-        let mut table2 = None;
-        let choice = choose_op(class, t1.len(), t2.len(), ExecMode::Full);
-        match class {
-            EdgeClass::ValueJoin => match choice.kind {
-                EdgeOpKind::IndexNLValueJoin => {
-                    // The *inner* (non-outer) endpoint's set is the filter
-                    // the nested loop probes.
-                    if choice.outer_is_v1 {
-                        set2 = Some(self.vertex_set(v2));
-                    } else {
-                        set1 = Some(self.vertex_set(v1));
-                    }
-                }
-                EdgeOpKind::HashValueJoin => {
-                    // The hash join builds on the outer (smaller) side —
-                    // `choose_op` and `hash_builds_left` share the rule.
-                    if choice.outer_is_v1 {
-                        table1 = Some(self.vertex_join_table(v1));
-                    } else {
-                        table2 = Some(self.vertex_join_table(v2));
-                    }
-                }
-                _ => {}
-            },
-            EdgeClass::Step(axis) => {
-                // The bitset staircase kernel probes the inner endpoint's
-                // membership set; supply the arena's cached one when that
-                // kernel will engage.
-                let (eff_axis, outer_len, inner_len) = if choice.outer_is_v1 {
-                    (axis, t1.len(), t2.len())
-                } else {
-                    (axis.inverse(), t2.len(), t1.len())
-                };
-                if choose_step_kernel(eff_axis, outer_len, inner_len, false) == StepKernel::Bitset {
-                    if choice.outer_is_v1 {
-                        set2 = Some(self.vertex_set(v2));
-                    } else {
-                        set1 = Some(self.vertex_set(v1));
-                    }
-                }
-            }
-        }
+        // Whatever membership sets an estimate left in the arena since
+        // the last `T(v)` write go along; which one (if any) the operator
+        // needs is the kernel's decision alone.
+        let (set1, set2) = (self.scratch.peek(v1), self.scratch.peek(v2));
         let dense = DenseState {
             set1: set1.as_deref(),
             set2: set2.as_deref(),
-            table1: table1.as_deref(),
-            table2: table2.as_deref(),
-            pool: Some(self.env.pool()),
         };
         let out = execute_edge_op(
             EdgeOpCtx {
-                class,
+                class: edge.kind.class(),
                 mode: ExecMode::Full,
                 doc1: &d1,
                 doc2: &d2,
@@ -484,25 +373,20 @@ impl<'a> EvalState<'a> {
 
     /// Filter a component's rows by an intra-component edge predicate (the
     /// kernel's [`EdgeOpKind::Select`] path). The join columns are read as
-    /// borrowed slices (no clones) and the keep-flags buffer is
-    /// pool-leased.
-    fn filter_component(&mut self, edge: &rox_joingraph::Edge, rel: Relation) -> Relation {
+    /// borrowed slices (no clones).
+    fn filter_component(&mut self, edge: &rox_joingraph::Edge, mut rel: Relation) -> Relation {
         let (v1, v2) = (edge.v1, edge.v2);
         self.exec_cost.charge_in(rel.len());
         let class = edge.kind.class();
         let d1 = self.env.doc(v1);
         let d2 = self.env.doc(v2);
-        let pool = self.env.pool();
-        let mut keep = pool.lease_flags();
-        keep.extend(
-            rel.col(v1)
-                .iter()
-                .zip(rel.col(v2))
-                .map(|(&a, &b)| edge_predicate(class, &d1, &d2, a, b)),
-        );
-        let mut rel = rel;
+        let keep: Vec<bool> = rel
+            .col(v1)
+            .iter()
+            .zip(rel.col(v2))
+            .map(|(&a, &b)| edge_predicate(class, &d1, &d2, a, b))
+            .collect();
         rel.retain_rows(&keep);
-        pool.give_flags(keep);
         self.exec_cost.charge_out(rel.len());
         rel
     }
@@ -537,32 +421,10 @@ impl<'a> EvalState<'a> {
             None => Relation::empty(vec![], vec![]),
         };
         for part in parts {
-            let product = Relation::cartesian(&result, &part);
-            result.recycle(self.env.pool());
-            part.recycle(self.env.pool());
-            result = product;
+            result = Relation::cartesian(&result, &part);
             self.exec_cost.charge_out(result.len());
         }
         result
-    }
-
-    /// Return every per-vertex scratch buffer this state still holds —
-    /// `T(v)` tables and cached membership bitsets — to the environment's
-    /// pool. Called by the run drivers once evaluation is finished (after
-    /// [`EvalState::finalize`]); the next query on the same engine then
-    /// leases these buffers instead of allocating. Only buffers with no
-    /// outstanding references move (shared base lists and live samples
-    /// stay untouched), so calling this is always safe.
-    pub fn recycle_scratch(&mut self) {
-        let pool = self.env.pool();
-        for slot in self.t.iter_mut() {
-            if let Some(arc) = slot.take() {
-                if let Ok(buf) = Arc::try_unwrap(arc) {
-                    pool.give_pres(buf);
-                }
-            }
-        }
-        self.scratch.recycle(pool);
     }
 
     /// The node kind of a vertex (text/attr distinction for value joins).

@@ -258,66 +258,6 @@ fn warm_engine_does_zero_redundant_work_across_a_mix() {
     assert_eq!(after.plan_hits, jobs.len() as u64);
 }
 
-/// Deterministic regression for the scratch pool: once a query shape has
-/// been served and its result relations recycled (the serving lifecycle —
-/// respond, then return the buffers), a warm repeat leases **every**
-/// pooled buffer from the pool. The acceptance bar is the miss counter:
-/// zero new allocations on the warm replay.
-#[test]
-fn warm_replay_leases_every_scratch_buffer_from_the_pool() {
-    let mut xml = String::from("<site>");
-    for i in 0..120 {
-        xml.push_str(&format!(
-            "<auction>{}<bidder><personref person=\"p{}\"/></bidder></auction>",
-            if i % 3 == 0 { "<cheap/>" } else { "" },
-            i % 7
-        ));
-    }
-    for p in 0..7 {
-        xml.push_str(&format!("<person id=\"p{p}\"/>"));
-    }
-    xml.push_str("</site>");
-    let catalog = catalog_for(&xml);
-    let engine = RoxEngine::new(catalog);
-    let opts = RoxOptions {
-        plan_reuse: PlanReuse::ReuseValidated,
-        ..options(42)
-    };
-    for (qi, query) in QUERIES.iter().enumerate() {
-        let graph = rox_joingraph::compile_query(query).unwrap();
-        let pool = Arc::clone(engine.scratch_pool());
-        // Cold optimizing run + one replay to warm the replay-path lease
-        // pattern; recycle each run's relations like a serving loop would
-        // after responding.
-        let cold = engine.run(&graph, opts).unwrap();
-        cold.joined.recycle(&pool);
-        cold.output.recycle(&pool);
-        let first = engine.run(&graph, opts).unwrap();
-        assert!(first.plan_cache_hit, "q{qi}: replay missed the plan cache");
-        let reference = first.output.clone();
-        first.joined.recycle(&pool);
-        first.output.recycle(&pool);
-
-        let before = pool.stats();
-        let warm = engine.run(&graph, opts).unwrap();
-        assert!(warm.plan_cache_hit, "q{qi}: warm replay missed plan cache");
-        assert_eq!(warm.output, reference, "q{qi}: warm output diverged");
-        let after = pool.stats();
-        assert!(
-            after.leases > before.leases,
-            "q{qi}: warm replay bypassed the pool entirely"
-        );
-        assert_eq!(
-            after.misses,
-            before.misses,
-            "q{qi}: warm replay allocated {} fresh scratch buffers",
-            after.misses - before.misses
-        );
-        warm.joined.recycle(&pool);
-        warm.output.recycle(&pool);
-    }
-}
-
 /// Threaded regression for the invalidation/replay race: a writer loops
 /// `invalidate_document` while readers hammer `ReuseValidated` replays of
 /// the same (unchanged) document. The epoch protocol — bump strictly

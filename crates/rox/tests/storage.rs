@@ -1,12 +1,11 @@
 //! Engine ↔ snapshot-storage integration: cold opens serve bit-identical
 //! results without parsing or index builds, the buffer-pool ledger stays
-//! coherent under eviction pressure, and the storage-event routing
-//! guarantees a snapshot never serves an index from a superseded epoch.
+//! coherent under eviction pressure, and invalidate/reindex guarantee a
+//! snapshot never serves an index from a superseded epoch.
 
-use rox_core::{PlanReuse, RoxEngine, RoxOptions, StorageEventSink};
-use rox_xmldb::{Catalog, DocId};
+use rox_core::{PlanReuse, RoxEngine, RoxOptions};
+use rox_xmldb::Catalog;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const SITE_V1: &str = r#"<site><open_auction><bidder><increase>12</increase></bidder><bidder><increase>30</increase></bidder><current>150</current></open_auction><open_auction><bidder><increase>7</increase></bidder><current>40</current></open_auction></site>"#;
@@ -139,39 +138,14 @@ fn half_pool_warm_replay_keeps_reused_pages_resident() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Records every event the engine routes through the sink.
-#[derive(Default)]
-struct RecordingSink {
-    invalidated: AtomicU64,
-    reindexed: AtomicU64,
-    last_epoch: AtomicU64,
-}
-
-impl StorageEventSink for RecordingSink {
-    fn document_invalidated(&self, uri: &str, id: Option<DocId>, epoch: u64) {
-        assert_eq!(uri, "site.xml");
-        assert!(id.is_some());
-        self.invalidated.fetch_add(1, Ordering::SeqCst);
-        self.last_epoch.store(epoch, Ordering::SeqCst);
-    }
-
-    fn document_reindexed(&self, uri: &str, id: Option<DocId>) {
-        assert_eq!(uri, "site.xml");
-        assert!(id.is_some());
-        self.reindexed.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
 #[test]
-fn invalidation_routes_through_sinks_and_kills_stored_epochs() {
+fn invalidation_bumps_the_epoch_and_kills_stored_index_segments() {
     let path = snap_path("invalidate");
     let fresh = parsed_engine(SITE_V1);
     run(&fresh);
     fresh.save_snapshot(&path).unwrap();
 
     let engine = RoxEngine::open_snapshot(&path, None).unwrap();
-    let sink = Arc::new(RecordingSink::default());
-    engine.register_storage_sink(Arc::<RecordingSink>::clone(&sink));
     // Warm the snapshot path first: stored indexes served once.
     run(&engine);
     assert_eq!(engine.stats().index_builds, 0);
@@ -180,8 +154,6 @@ fn invalidation_routes_through_sinks_and_kills_stored_epochs() {
     // are from the v1 epoch and must never be served again.
     engine.catalog().load_str("site.xml", SITE_V2).unwrap();
     engine.invalidate_document("site.xml");
-    assert_eq!(sink.invalidated.load(Ordering::SeqCst), 1);
-    assert_eq!(sink.last_epoch.load(Ordering::SeqCst), 1);
     assert_eq!(engine.doc_epoch("site.xml"), 1);
     let snapshot = engine.snapshot().unwrap();
     assert_eq!(snapshot.stale_count(), 1, "snapshot must be marked stale");
@@ -200,20 +172,17 @@ fn invalidation_routes_through_sinks_and_kills_stored_epochs() {
 }
 
 #[test]
-fn reindex_routes_through_sinks_and_rebuilds_from_live_content() {
+fn reindex_marks_the_snapshot_stale_and_rebuilds_from_live_content() {
     let path = snap_path("reindex");
     let fresh = parsed_engine(SITE_V1);
     run(&fresh);
     fresh.save_snapshot(&path).unwrap();
 
     let engine = RoxEngine::open_snapshot(&path, None).unwrap();
-    let sink = Arc::new(RecordingSink::default());
-    engine.register_storage_sink(Arc::<RecordingSink>::clone(&sink));
     run(&engine);
 
     engine.catalog().load_str("site.xml", SITE_V2).unwrap();
     engine.reindex_document("site.xml");
-    assert_eq!(sink.reindexed.load(Ordering::SeqCst), 1);
     // No epoch bump on the reindex path — plans stay servable.
     assert_eq!(engine.doc_epoch("site.xml"), 0);
     assert_eq!(engine.snapshot().unwrap().stale_count(), 1);
