@@ -36,8 +36,8 @@ impl DocIndexes {
 
 /// A backing source that can fault documents and prebuilt indices into
 /// the store on first touch — implemented by the snapshot storage layer
-/// (`rox-storage`), which decodes them from checksummed pages through a
-/// bounded buffer pool.
+/// (`rox-storage`), which reads and decodes one checksummed segment per
+/// touch.
 ///
 /// Defined here (not in the storage crate) so [`IndexedStore`] can fault
 /// through it without `rox-index` depending on `rox-storage`: the storage
@@ -183,9 +183,8 @@ impl IndexedStore {
     /// Drop the in-memory residency of `id` — the resident document *and*
     /// its index cell — **without** declaring the stored snapshot stale
     /// (contrast [`IndexedStore::invalidate`]): the next touch faults both
-    /// back in through the backing source. This is the knob buffer-pool
-    /// sweeps turn to re-measure cold faults at different pool sizes.
-    /// Returns whether a document was resident.
+    /// back in through the backing source. Returns whether a document
+    /// was resident.
     pub fn release(&self, id: DocId) -> bool {
         let was_resident = self.catalog.evict(id);
         self.indexes

@@ -78,11 +78,6 @@ impl Parallelism {
         }
         t.min(tasks / min_tasks_per_thread.max(1)).max(1)
     }
-
-    /// True when this setting can ever use more than one thread.
-    pub fn is_parallel(self) -> bool {
-        self.threads() > 1
-    }
 }
 
 /// Parse a `Parallelism` from a CLI-style string: `seq`, `auto`, or a
@@ -137,16 +132,6 @@ where
     F: Fn(usize) -> T + Send + Sync,
 {
     WorkerPool::shared().par_map(threads, tasks, f)
-}
-
-/// [`par_map`] over the items of a slice, preserving input order.
-pub fn par_map_slice<'a, I, T, F>(threads: usize, items: &'a [I], f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&'a I) -> T + Send + Sync,
-{
-    par_map(threads, items.len(), |i| f(&items[i]))
 }
 
 #[cfg(test)]
@@ -211,12 +196,5 @@ mod tests {
         assert_eq!("auto".parse::<Parallelism>().unwrap(), Parallelism::Auto);
         assert_eq!("4".parse::<Parallelism>().unwrap(), Parallelism::Threads(4));
         assert!("bogus".parse::<Parallelism>().is_err());
-    }
-
-    #[test]
-    fn par_map_slice_borrows() {
-        let items = vec!["a".to_string(), "bb".to_string(), "ccc".to_string()];
-        let lens = par_map_slice(2, &items, |s| s.len());
-        assert_eq!(lens, vec![1, 2, 3]);
     }
 }

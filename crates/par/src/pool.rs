@@ -217,12 +217,6 @@ impl Shared {
     }
 }
 
-thread_local! {
-    /// Identity of the pool whose worker loop owns this thread (the
-    /// `Arc<Shared>` data address), or 0 on non-pool threads.
-    static WORKER_OF: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
 /// An always-on, work-stealing worker pool. See the module docs for the
 /// scheduling, determinism, and shutdown story.
 pub struct WorkerPool {
@@ -279,13 +273,6 @@ impl WorkerPool {
     /// Monotone — callers assert dispatch by comparing before/after.
     pub fn batch_tasks(&self) -> u64 {
         self.shared.batch_tasks.load(Ordering::Relaxed)
-    }
-
-    /// True when the calling thread is one of this pool's workers. Callers
-    /// use this to avoid blocking a worker on work that only this same pool
-    /// can complete (e.g. the engine runs `run_many` inline in that case).
-    pub fn on_worker_thread(&self) -> bool {
-        WORKER_OF.with(|w| w.get()) == Arc::as_ptr(&self.shared) as usize
     }
 
     /// Submit a fire-and-forget `'static` job. Jobs are distributed
@@ -410,7 +397,6 @@ impl Drop for WorkerPool {
 }
 
 fn worker_loop(shared: Arc<Shared>, me: usize) {
-    WORKER_OF.with(|w| w.set(Arc::as_ptr(&shared) as usize));
     let workers = shared.queues.len();
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
@@ -495,17 +481,5 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "jobs never ran");
             std::thread::yield_now();
         }
-    }
-
-    #[test]
-    fn on_worker_thread_is_scoped_to_the_pool() {
-        let pool = Arc::new(WorkerPool::new(1));
-        assert!(!pool.on_worker_thread());
-        let (tx, rx) = std::sync::mpsc::channel();
-        let p = Arc::clone(&pool);
-        pool.execute(move || {
-            tx.send(p.on_worker_thread()).unwrap();
-        });
-        assert!(rx.recv_timeout(Duration::from_secs(10)).unwrap());
     }
 }

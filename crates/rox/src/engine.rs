@@ -433,12 +433,11 @@ pub struct EngineStats {
     /// Jobs currently admitted but not yet started (the live admission
     /// queue gauge [`RoxOptions::max_queued`] bounds).
     pub queue_depth: usize,
-    /// Buffer-pool traffic of the snapshot backing this engine — page
-    /// hits/misses/evictions and frame occupancy. All zero for an
+    /// Pages read from the snapshot backing this engine, as
+    /// `pages.misses` (see [`rox_storage::PoolStats`]). All zero for an
     /// in-memory engine (no snapshot).
     pub pages: PagePoolStats,
-    /// Total pages in the backing snapshot file (0 without one) — the
-    /// 100% mark the pool's `capacity` is a fraction of.
+    /// Total pages in the backing snapshot file (0 without one).
     pub snapshot_pages: u64,
     /// Documents/index sets decoded from the snapshot instead of being
     /// parsed/built (the store's fault counter).
@@ -450,17 +449,6 @@ pub struct EngineStats {
     /// WAL records replayed when this engine was built by
     /// [`RoxEngine::recover`]; 0 otherwise.
     pub wal_replayed: u64,
-}
-
-impl EngineStats {
-    /// `plan_hits / (plan_hits + plan_misses)`, 0 when nothing ran.
-    pub fn plan_hit_rate(&self) -> f64 {
-        let total = self.plan_hits + self.plan_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.plan_hits as f64 / total as f64
-    }
 }
 
 /// Everything one engine-served query run produces. Unlike
@@ -573,8 +561,8 @@ pub struct RoxEngine {
     jobs_rejected: AtomicU64,
     jobs_aborted: AtomicU64,
     /// The snapshot this engine was opened from, when it was
-    /// ([`RoxEngine::open_snapshot`]); carries the buffer pool whose
-    /// counters [`RoxEngine::stats`] surfaces.
+    /// ([`RoxEngine::open_snapshot`]); carries the page-read counter
+    /// [`RoxEngine::stats`] surfaces.
     snapshot: Option<Arc<SnapshotSource>>,
     /// The durable half, when [`RoxEngine::make_durable`] or
     /// [`RoxEngine::recover`] attached one: mutations append to its WAL
@@ -671,16 +659,16 @@ impl RoxEngine {
     /// Open a snapshot file (see [`rox_storage::Snapshot`]) and serve
     /// queries straight off it: every stored URI resolves immediately, and
     /// document content plus prebuilt indices are *faulted in on first
-    /// touch* through a buffer pool of `frames` pages (`None` sizes the
-    /// pool to the whole file). The cold path this replaces — re-parsing
-    /// and re-shredding the XML, then rebuilding every index — never runs.
+    /// touch*, one whole segment per read. The cold path this replaces —
+    /// re-parsing and re-shredding the XML, then rebuilding every index —
+    /// never runs. `_frames` is ignored; kept for the frozen benchmark.
     ///
     /// [`RoxEngine::invalidate_document`] / [`RoxEngine::reindex_document`]
     /// mark the document's stored index segments stale before any derived
     /// data is dropped, so the snapshot can never serve an index from a
     /// superseded epoch.
-    pub fn open_snapshot(path: &Path, frames: Option<usize>) -> Result<Self, StorageError> {
-        let (catalog, source) = Snapshot::open(path, frames)?;
+    pub fn open_snapshot(path: &Path, _frames: Option<usize>) -> Result<Self, StorageError> {
+        let (catalog, source) = Snapshot::open(path, None)?;
         Ok(Self::over_snapshot(catalog, source))
     }
 
@@ -790,21 +778,19 @@ impl RoxEngine {
     /// query output, document columns, and epoch table — to the engine
     /// that wrote the directory, as of its last durable LSN, and it is
     /// itself durable: mutations keep appending to the recovered log.
-    pub fn recover(
-        dir: &Path,
-        frames: Option<usize>,
-    ) -> Result<(Self, RecoveryReport), StorageError> {
-        Self::recover_with_io(dir, frames, Arc::new(StdWalIo))
+    pub fn recover(dir: &Path) -> Result<(Self, RecoveryReport), StorageError> {
+        Self::recover_with_io(dir, None, Arc::new(StdWalIo))
     }
 
     /// As [`RoxEngine::recover`] with an explicit I/O layer for the
-    /// recovered engine's subsequent writes.
+    /// recovered engine's subsequent writes. `_frames` is ignored; kept
+    /// for the frozen benchmark.
     pub fn recover_with_io(
         dir: &Path,
-        frames: Option<usize>,
+        _frames: Option<usize>,
         io: Arc<dyn WalIo>,
     ) -> Result<(Self, RecoveryReport), StorageError> {
-        let state = recovery::recover(dir, frames, &*io)?;
+        let state = recovery::recover(dir, &*io)?;
         let engine = Self::over_snapshot(state.catalog, state.source);
         *engine.doc_epochs.write().expect("doc epochs") = state.epochs.into_iter().collect();
         engine
@@ -818,15 +804,6 @@ impl RoxEngine {
             order: Mutex::new(DurableCursor { symbols_logged }),
         }));
         Ok((engine, state.report))
-    }
-
-    /// The durable directory this engine writes to, if any.
-    pub fn durable_dir(&self) -> Option<PathBuf> {
-        self.durable
-            .read()
-            .expect("durable state")
-            .as_ref()
-            .map(|d| d.dir.clone())
     }
 
     /// The full `(uri, epoch)` table, sorted by URI.
@@ -870,9 +847,9 @@ impl RoxEngine {
     /// Drop the in-memory residency of every snapshot-backed document —
     /// resident node tables, index cells, and base lists — without
     /// touching epochs, plans, or the snapshot's validity. The next query
-    /// faults everything back in through the buffer pool; benchmark
-    /// sweeps use this to measure warm-replay latency at different pool
-    /// sizes. Returns the number of documents released (always 0 for an
+    /// reads and decodes each touched segment again. Nothing calls this
+    /// on its own: residency is unbounded until the embedder asks.
+    /// Returns the number of documents released (always 0 for an
     /// engine without a snapshot — releasing would lose the only copy).
     pub fn release_residency(&self) -> usize {
         let Some(source) = &self.snapshot else {
@@ -1160,11 +1137,6 @@ impl RoxEngine {
                 (uri, epoch)
             })
             .collect()
-    }
-
-    /// Drop every cached plan (counters are kept).
-    pub fn clear_plan_cache(&self) {
-        self.plans.lock().expect("plan cache").retain(|_| false);
     }
 
     /// Invalidate everything derived from document `uri` after a reload:

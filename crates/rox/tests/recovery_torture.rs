@@ -190,7 +190,7 @@ fn query_for(uri: &str) -> String {
 /// engine that applied exactly the durable prefix of `ops`. Returns the
 /// recovered water mark.
 fn prove_recovery(tag: &str, dir: &Path, ops: &[Op], run: &Drive) -> Lsn {
-    let (recovered, report) = RoxEngine::recover(dir, None).unwrap();
+    let (recovered, report) = RoxEngine::recover(dir).unwrap();
 
     // Durability: an LSN acked while the I/O was honest is never lost.
     for &lsn in &run.acked {
@@ -318,7 +318,7 @@ fn clean_shutdown_recovers_bit_identical_with_no_torn_tail() {
 
     let water_mark = prove_recovery("clean", &dir, &ops, &run);
     assert_eq!(water_mark, 1 + ops.len() as u64);
-    let (_, report) = RoxEngine::recover(&dir, None).unwrap();
+    let (_, report) = RoxEngine::recover(&dir).unwrap();
     assert_eq!(report.torn_tail_bytes, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -367,7 +367,7 @@ fn concurrent_mutations_group_commit_and_recover() {
     );
     drop(engine);
 
-    let (recovered, report) = RoxEngine::recover(&dir, None).unwrap();
+    let (recovered, report) = RoxEngine::recover(&dir).unwrap();
     assert_eq!(report.last_lsn, 1 + THREADS * EACH);
     assert_eq!(report.torn_tail_bytes, 0);
     for t in 0..THREADS {

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-/// Errors produced by the page file, buffer pool and snapshot codec.
+/// Errors produced by the page file, snapshot codec and write-ahead log.
 #[derive(Debug)]
 pub enum StorageError {
     /// An operating-system I/O failure.
@@ -24,8 +24,6 @@ pub enum StorageError {
     /// A structurally invalid snapshot: truncated segment, unknown version,
     /// invalid enum tag, inconsistent directory.
     Format(String),
-    /// Every buffer-pool frame is pinned; the fetch cannot make progress.
-    PoolExhausted,
 }
 
 impl fmt::Display for StorageError {
@@ -36,9 +34,6 @@ impl fmt::Display for StorageError {
                 write!(f, "page {page} is corrupt: {reason}")
             }
             StorageError::Format(reason) => write!(f, "invalid snapshot: {reason}"),
-            StorageError::PoolExhausted => {
-                write!(f, "buffer pool exhausted: every frame is pinned")
-            }
         }
     }
 }

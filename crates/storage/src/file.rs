@@ -1,9 +1,11 @@
-//! The page file manager: positioned page reads over one snapshot file.
+//! The page file manager: positioned segment reads over one snapshot file.
 //!
 //! The file is an array of `page_size`-byte pages (see [`crate::page`]).
-//! Reads are positioned (`pread` on unix, so no seek state to serialize),
-//! validate the page in place and hand back a [`PagePayload`] that derefs
-//! to the checksummed payload without copying it out of the raw page.
+//! A segment — a contiguous run of pages — is the unit of I/O:
+//! [`FileManager::read_segment`] fetches the whole run with one positioned
+//! read (`pread` on unix, so no seek state to serialize), validates every
+//! page where it landed and returns the concatenated payloads. Nothing is
+//! cached here; the OS page cache does readahead and replacement.
 
 use crate::error::{Result, StorageError};
 use crate::page::{decode_page, PAGE_HEADER};
@@ -87,59 +89,60 @@ impl FileManager {
         self.page_count
     }
 
-    /// Read and validate page `page_id`, returning its payload.
+    /// Read the `len`-byte segment starting at `first_page`: one
+    /// positioned read of its whole page run, every page validated
+    /// (magic, id, length, CRC-32C), payloads concatenated.
     ///
-    /// The returned [`PagePayload`] keeps the raw page and dereferences to
-    /// the payload slice — validation never copies the payload out.
-    pub fn read_page(&self, page_id: u32) -> Result<PagePayload> {
-        if page_id >= self.page_count {
+    /// `len` and the page run are bounded by the file's declared page
+    /// count before any buffer is sized from them, so a corrupt directory
+    /// cannot force an absurd allocation.
+    pub fn read_segment(&self, first_page: u32, len: u64) -> Result<Vec<u8>> {
+        let payload = self.payload_per_page() as u64;
+        let cap = u64::from(self.page_count) * payload;
+        if len > cap {
             return Err(StorageError::Format(format!(
-                "page {page_id} beyond file end ({} pages)",
-                self.page_count
+                "segment of {len} bytes exceeds file capacity of {cap}"
             )));
         }
-        let mut raw = vec![0u8; self.page_size];
-        let offset = page_id as u64 * self.page_size as u64;
-        {
-            let file = self.file.lock();
-            read_at(&file, &mut raw, offset)?;
-        }
-        let len = decode_page(page_id, &raw)?.len();
-        Ok(PagePayload { raw, len })
-    }
-
-    /// Read and validate the `count` pages starting at `first` with one
-    /// positioned read, returning their payloads in order. This is the
-    /// readahead path: one `pread` per contiguous run instead of one per
-    /// page.
-    pub fn read_pages(&self, first: u32, count: u32) -> Result<Vec<PagePayload>> {
-        if count == 0 {
-            return Ok(Vec::new());
-        }
-        let end = first
-            .checked_add(count)
+        // `len <= cap` bounds the run by `page_count`, so it fits a u32.
+        let pages = len.div_ceil(payload) as u32;
+        let end = first_page
+            .checked_add(pages)
             .filter(|&e| e <= self.page_count)
             .ok_or_else(|| {
                 StorageError::Format(format!(
-                    "pages {first}..{} beyond file end ({} pages)",
-                    first as u64 + count as u64,
+                    "pages {first_page}..{} beyond file end ({} pages)",
+                    u64::from(first_page) + u64::from(pages),
                     self.page_count
                 ))
             })?;
-        let mut raw = vec![0u8; self.page_size * count as usize];
-        let offset = first as u64 * self.page_size as u64;
+        let mut buf = vec![0u8; self.page_size * pages as usize];
         {
             let file = self.file.lock();
-            read_at(&file, &mut raw, offset)?;
+            read_at(
+                &file,
+                &mut buf,
+                u64::from(first_page) * self.page_size as u64,
+            )?;
         }
-        (first..end)
-            .map(|page_id| {
-                let at = (page_id - first) as usize * self.page_size;
-                let one = raw[at..at + self.page_size].to_vec();
-                let len = decode_page(page_id, &one)?.len();
-                Ok(PagePayload { raw: one, len })
-            })
-            .collect()
+        // Validate each page where it landed, then slide its payload down
+        // over the headers and padding already consumed.
+        let mut filled = 0usize;
+        for page_id in first_page..end {
+            let at = (page_id - first_page) as usize * self.page_size;
+            let want = (len as usize - filled).min(payload as usize);
+            let got = decode_page(page_id, &buf[at..at + self.page_size])?.len();
+            if got < want {
+                return Err(StorageError::Corrupt {
+                    page: page_id,
+                    reason: format!("payload of {got} bytes where the segment needs {want}"),
+                });
+            }
+            buf.copy_within(at + PAGE_HEADER..at + PAGE_HEADER + want, filled);
+            filled += want;
+        }
+        buf.truncate(filled);
+        Ok(buf)
     }
 }
 
@@ -156,20 +159,6 @@ fn read_at(mut file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> 
         file.seek(SeekFrom::Start(offset))?;
         file.read_exact(buf)
     })
-}
-
-/// A validated page: the raw on-disk bytes plus the payload length.
-/// Dereferences to the payload slice.
-pub struct PagePayload {
-    raw: Vec<u8>,
-    len: usize,
-}
-
-impl std::ops::Deref for PagePayload {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.raw[PAGE_HEADER..PAGE_HEADER + self.len]
-    }
 }
 
 /// Read and validate the header page (page 0) of the file at `path`
@@ -210,37 +199,84 @@ mod tests {
         p
     }
 
-    #[test]
-    fn reads_pages_back() {
-        let path = temp_path("roundtrip");
-        {
-            let mut f = File::create(&path).unwrap();
-            f.write_all(&encode_page(0, b"zero", 128)).unwrap();
-            f.write_all(&encode_page(1, b"one", 128)).unwrap();
+    /// Write `stream` as a page file of `page_size`-byte pages whose
+    /// page 0 is a placeholder header, so the stream is the segment at
+    /// page 1.
+    fn stream_file(
+        name: &str,
+        stream: &[u8],
+        page_size: usize,
+    ) -> (std::path::PathBuf, FileManager) {
+        let path = temp_path(name);
+        let mut f = File::create(&path).unwrap();
+        f.write_all(&encode_page(0, b"header", page_size)).unwrap();
+        let mut pages = 1u32;
+        for chunk in stream.chunks(page_size - PAGE_HEADER) {
+            f.write_all(&encode_page(pages, chunk, page_size)).unwrap();
+            pages += 1;
         }
-        let fm = FileManager::new(File::open(&path).unwrap(), 128, 2);
-        assert_eq!(&*fm.read_page(0).unwrap(), b"zero");
-        assert_eq!(&*fm.read_page(1).unwrap(), b"one");
-        assert!(fm.read_page(2).is_err());
+        drop(f);
+        let fm = FileManager::new(File::open(&path).unwrap(), page_size, pages);
+        (path, fm)
+    }
+
+    #[test]
+    fn read_segment_roundtrips_across_page_boundaries() {
+        let stream: Vec<u8> = (0..10_000u32).map(|i| (i * 31 % 251) as u8).collect();
+        for page_size in [64, 4096] {
+            let (path, fm) = stream_file(&format!("roundtrip-{page_size}"), &stream, page_size);
+            assert_eq!(fm.read_segment(1, stream.len() as u64).unwrap(), stream);
+            // A prefix ending mid-page, a sub-run starting on a later
+            // page, and the empty segment (which owns no page at all).
+            assert_eq!(fm.read_segment(1, 100).unwrap(), stream[..100]);
+            let payload = fm.payload_per_page();
+            assert_eq!(
+                fm.read_segment(2, payload as u64 + 1).unwrap(),
+                stream[payload..2 * payload + 1]
+            );
+            assert!(fm.read_segment(1, 0).unwrap().is_empty());
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn read_segment_bounds_length_and_page_run() {
+        let stream = [7u8; 100]; // 48-byte payloads: pages 1..=3, the last holding 4 bytes
+        let (path, fm) = stream_file("bounds", &stream, 64);
+        let format = |r: Result<Vec<u8>>| matches!(r, Err(StorageError::Format(_)));
+        // A declared length beyond the whole file's capacity.
+        assert!(format(fm.read_segment(1, u64::MAX)));
+        assert!(format(fm.read_segment(1, 4 * 48 + 1)));
+        // A length the file could hold, but not from this first page.
+        assert!(format(fm.read_segment(2, 3 * 48)));
+        assert!(format(fm.read_segment(4, 1)));
+        assert!(format(fm.read_segment(u32::MAX, 1)));
+        // A length the page run covers but the stored payloads do not:
+        // the short last page is named, nothing is fabricated.
+        assert!(matches!(
+            fm.read_segment(1, 3 * 48),
+            Err(StorageError::Corrupt { page: 3, .. })
+        ));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn bulk_reads_validate_every_page() {
-        let path = temp_path("bulk");
-        {
-            let mut f = File::create(&path).unwrap();
-            for (id, body) in [b"zero" as &[u8], b"one", b"two"].iter().enumerate() {
-                f.write_all(&encode_page(id as u32, body, 128)).unwrap();
-            }
-        }
-        let fm = FileManager::new(File::open(&path).unwrap(), 128, 3);
-        let pages = fm.read_pages(1, 2).unwrap();
-        assert_eq!(&*pages[0], b"one");
-        assert_eq!(&*pages[1], b"two");
-        assert!(fm.read_pages(2, 2).is_err());
-        assert!(fm.read_pages(u32::MAX, 2).is_err());
-        assert!(fm.read_pages(0, 0).unwrap().is_empty());
+    fn read_segment_names_the_corrupt_middle_page() {
+        let stream: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
+        let (path, fm) = stream_file("middle", &stream, 128);
+        drop(fm);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let pages = (bytes.len() / 128) as u32;
+        bytes[5 * 128 + 40] ^= 0xFF; // inside page 5's payload
+        std::fs::write(&path, &bytes).unwrap();
+        let fm = FileManager::new(File::open(&path).unwrap(), 128, pages);
+        let err = fm.read_segment(1, stream.len() as u64).unwrap_err();
+        assert!(
+            matches!(err, StorageError::Corrupt { page: 5, .. }),
+            "{err}"
+        );
+        // Segments that do not cross the bad page still read.
+        assert_eq!(fm.read_segment(1, 4 * 112).unwrap(), stream[..4 * 112]);
         std::fs::remove_file(&path).ok();
     }
 

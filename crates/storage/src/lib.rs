@@ -1,25 +1,23 @@
 #![warn(missing_docs)]
 
-//! # rox-storage — page-oriented snapshot storage with a buffer pool
+//! # rox-storage — page-oriented snapshot storage and a write-ahead log
 //!
 //! Cold starts used to mean re-parsing and re-shredding every XML source.
 //! This crate persists a shredded catalog — the Pre-columnar node tables,
 //! the shared interner's symbol heap, and the prebuilt element/value
-//! indices — as a page file, and faults it back in *lazily* through a
-//! bounded buffer pool:
+//! indices — as a page file, and faults it back in *lazily*, one whole
+//! segment per first touch. A segment is the unit of I/O, the decoded
+//! document is the unit of caching, and the OS page cache does readahead
+//! and replacement:
 //!
 //! * [`page`] — the fixed-size page format: 16-byte checksummed header
 //!   (magic, page id, payload length, CRC-32C) + little-endian payload.
 //!   Corruption is a detected [`StorageError::Corrupt`], never silent.
-//! * [`mod@file`] — positioned page reads over one snapshot file, one
-//!   page at a time or a contiguous run per `pread` (readahead).
-//! * [`pool`] — the buffer manager: bounded frames, pin/unpin, a
-//!   scan-resistant two-cohort (2Q-style) replacer with a ghost list,
-//!   batched prefetch, and a coherent hit/miss/eviction ledger. Catalogs
-//!   larger than the pool work.
+//! * [`mod@file`] — one positioned read per segment over the snapshot
+//!   file, every page of the run validated.
 //! * [`bytes`] — the segment codec: logical byte streams spanning pages,
-//!   decoded by pinning one page at a time, with delta+varint /
-//!   bitpacked integer runs ([`bytes::RunCodec`]) chosen per run.
+//!   read whole and decoded from memory, with delta+varint / bitpacked
+//!   integer runs ([`bytes::RunCodec`]) chosen per run.
 //! * [`snapshot`] — [`Snapshot::save`] / [`Snapshot::open`] plus
 //!   [`SnapshotSource`], the [`rox_index::DocSource`] implementation that
 //!   the engine's `IndexedStore` faults documents and indices through.
@@ -43,7 +41,6 @@ pub mod error;
 pub mod failpoint;
 pub mod file;
 pub mod page;
-pub mod pool;
 pub mod recovery;
 pub mod snapshot;
 pub mod wal;
@@ -52,7 +49,6 @@ pub use bytes::RunCodec;
 pub use error::{Result, StorageError};
 pub use failpoint::{FailpointFile, FailpointIo, FailpointState, FaultMode, FaultPlan};
 pub use page::{crc32c, DEFAULT_PAGE_SIZE, PAGE_HEADER};
-pub use pool::{BufferPool, FetchHint, PoolStats};
 pub use recovery::{recover, write_checkpoint, RecoveredState, RecoveryReport};
-pub use snapshot::{SaveReport, Snapshot, SnapshotSource, SNAPSHOT_VERSION};
+pub use snapshot::{PoolStats, SaveReport, Snapshot, SnapshotSource, SNAPSHOT_VERSION};
 pub use wal::{Lsn, StdWalIo, Wal, WalIo, WalRecord, WalStats};

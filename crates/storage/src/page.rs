@@ -24,13 +24,11 @@ pub const PAGE_HEADER: usize = 16;
 /// Default page size used by [`crate::Snapshot::save`]; any power-of-two
 /// size ≥ 64 works, the file records the size it was written with.
 ///
-/// The classic 4 KiB. Larger pages used to pay for themselves by cutting
-/// syscalls on sequential segment faults, but scan readahead now batches
-/// contiguous pages into one positioned read anyway
-/// ([`crate::BufferPool::prefetch`]), while each segment still wastes
-/// half a page of padding on average — which, with packed columns, can
-/// dominate a small corpus. Smaller pages also give the buffer pool
-/// finer eviction granularity under tight frame budgets.
+/// The classic 4 KiB. Page size does not change the syscall count — a
+/// segment is one positioned read whatever its page count
+/// ([`crate::file::FileManager::read_segment`]) — while each segment
+/// wastes half a page of padding on average, which, with packed columns,
+/// can dominate a small corpus.
 pub const DEFAULT_PAGE_SIZE: usize = 4096;
 
 /// Smallest accepted page size (header + a useful payload).
@@ -76,7 +74,7 @@ static CRC_TABLES: [[u32; 256]; 16] = build_crc_tables();
 /// CRC-32C (Castagnoli polynomial, the iSCSI/ext4/RocksDB variant) of
 /// `bytes`.
 ///
-/// Every page fetch checksums its whole payload, so this sits on the
+/// Every page read checksums its whole payload, so this sits on the
 /// cold-start critical path. On x86-64 with SSE 4.2 the dedicated `crc32`
 /// instruction folds eight bytes per cycle; elsewhere a slicing-by-16
 /// table walk processes sixteen bytes per loop iteration. Both compute

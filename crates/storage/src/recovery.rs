@@ -165,14 +165,12 @@ pub struct RecoveredState {
 /// open the newest valid snapshot, scan the log, replay every valid
 /// record on top of the snapshot, truncate the torn tail, and hand back
 /// a state provably equal to the writer's at its last durable LSN.
-///
-/// `frames` bounds the snapshot's buffer pool as in [`Snapshot::open`].
-pub fn recover(dir: &Path, frames: Option<usize>, io: &dyn WalIo) -> Result<RecoveredState> {
+pub fn recover(dir: &Path, io: &dyn WalIo) -> Result<RecoveredState> {
     // Checkpoint scratch is dead weight from a crashed rotation.
     std::fs::remove_file(tmp_of(&dir.join(SNAPSHOT_FILE))).ok();
     std::fs::remove_file(tmp_of(&dir.join(WAL_FILE))).ok();
 
-    let (catalog, source) = Snapshot::open(&dir.join(SNAPSHOT_FILE), frames)?;
+    let (catalog, source) = Snapshot::open(&dir.join(SNAPSHOT_FILE), None)?;
     let snapshot_docs = catalog.len();
 
     let wal_path = dir.join(WAL_FILE);

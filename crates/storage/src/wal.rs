@@ -33,7 +33,7 @@
 //! wait on a condvar and return as soon as the leader's sync covers
 //! their LSN — N acknowledgements per fsync, not one.
 
-use crate::bytes::{ByteReader, ByteWriter, SliceReader};
+use crate::bytes::{ByteWriter, SliceReader};
 use crate::error::{Result, StorageError};
 use crate::file::retry_transient;
 use crate::page::crc32c;
@@ -152,7 +152,7 @@ fn encode_put(w: &mut ByteWriter, put: &DocPut) {
     w.put_bytes(&put.doc_bytes);
 }
 
-fn decode_put<R: ByteReader>(r: &mut R) -> Result<DocPut> {
+fn decode_put(r: &mut SliceReader) -> Result<DocPut> {
     let symbol_base = r.get_u32()?;
     let count = r.get_u32()? as usize;
     let mut new_symbols = Vec::with_capacity(count.min(1 << 16));

@@ -101,7 +101,7 @@ proptest! {
         let cut = cut_sel as usize % (bytes.len() + 1);
         std::fs::write(dir.join("wal.rox"), &bytes[..cut]).unwrap();
 
-        let result = recover(&dir, None, &StdWalIo);
+        let result = recover(&dir, &StdWalIo);
         if cut < WAL_HEADER {
             prop_assert!(result.is_err(), "a torn header is not a WAL");
             std::fs::remove_dir_all(&dir).ok();
