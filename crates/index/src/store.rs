@@ -180,20 +180,6 @@ impl IndexedStore {
         self.loads.load(Ordering::Relaxed)
     }
 
-    /// Drop the in-memory residency of `id` — the resident document *and*
-    /// its index cell — **without** declaring the stored snapshot stale
-    /// (contrast [`IndexedStore::invalidate`]): the next touch faults both
-    /// back in through the backing source. Returns whether a document
-    /// was resident.
-    pub fn release(&self, id: DocId) -> bool {
-        let was_resident = self.catalog.evict(id);
-        self.indexes
-            .write()
-            .expect("index cache poisoned")
-            .remove(&id);
-        was_resident
-    }
-
     /// Drop cached indices (used after re-loading a document). Also marks
     /// the backing source stale for `id`, so the next [`IndexedStore::indexes`]
     /// call rebuilds from the live document instead of decoding a stored
@@ -289,28 +275,6 @@ mod tests {
         assert_eq!(idx.element.elements().len(), 3);
         assert_eq!(store.build_count(), 0);
         assert_eq!(store.load_count(), 2);
-    }
-
-    #[test]
-    fn release_refaults_without_declaring_staleness() {
-        let cat = Arc::new(Catalog::new());
-        let id = cat.reserve("lazy.xml");
-        let doc = rox_xmldb::parse_document("lazy.xml", "<a><b/></a>").unwrap();
-        let source = Arc::new(MapSource {
-            docs: HashMap::from([(id, doc)]),
-            stale: Default::default(),
-        });
-        let store = IndexedStore::with_source(Arc::clone(&cat), source);
-        store.doc(id);
-        store.indexes(id);
-        assert_eq!(store.load_count(), 2);
-        assert!(store.release(id));
-        assert!(cat.get(id).is_none());
-        // Both fault back in from the (still valid) source — no rebuild.
-        store.doc(id);
-        store.indexes(id);
-        assert_eq!(store.load_count(), 4);
-        assert_eq!(store.build_count(), 0);
     }
 
     #[test]

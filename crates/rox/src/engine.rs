@@ -65,8 +65,8 @@ use rox_ops::{Cost, EdgeOpKind, Relation};
 use rox_par::{Parallelism, WorkerPool};
 use rox_storage::wal::{DocPut, Lsn, Wal, WalIo, WalRecord, WalStats};
 use rox_storage::{
-    recovery, PoolStats as PagePoolStats, RecoveryReport, SaveReport, Snapshot, SnapshotSource,
-    StdWalIo, StorageError, DEFAULT_PAGE_SIZE,
+    recovery, PoolStats, RecoveryReport, SaveReport, Snapshot, SnapshotSource, StdWalIo,
+    StorageError,
 };
 use rox_xmldb::{Catalog, DocId, Pre};
 use std::collections::HashMap;
@@ -433,11 +433,11 @@ pub struct EngineStats {
     /// Jobs currently admitted but not yet started (the live admission
     /// queue gauge [`RoxOptions::max_queued`] bounds).
     pub queue_depth: usize,
-    /// Pages read from the snapshot backing this engine, as
+    /// Segments read from the snapshot backing this engine, as
     /// `pages.misses` (see [`rox_storage::PoolStats`]). All zero for an
     /// in-memory engine (no snapshot).
-    pub pages: PagePoolStats,
-    /// Total pages in the backing snapshot file (0 without one).
+    pub pages: PoolStats,
+    /// Segments in the backing snapshot file (0 without one).
     pub snapshot_pages: u64,
     /// Documents/index sets decoded from the snapshot instead of being
     /// parsed/built (the store's fault counter).
@@ -561,7 +561,7 @@ pub struct RoxEngine {
     jobs_rejected: AtomicU64,
     jobs_aborted: AtomicU64,
     /// The snapshot this engine was opened from, when it was
-    /// ([`RoxEngine::open_snapshot`]); carries the page-read counter
+    /// ([`RoxEngine::open_snapshot`]); carries the segment-read counter
     /// [`RoxEngine::stats`] surfaces.
     snapshot: Option<Arc<SnapshotSource>>,
     /// The durable half, when [`RoxEngine::make_durable`] or
@@ -687,7 +687,7 @@ impl RoxEngine {
 
     /// Persist this engine's catalog — documents, symbol heap, and the
     /// element/value indices (building any missing ones) — as a snapshot
-    /// page file at `path`, ready for [`RoxEngine::open_snapshot`].
+    /// file at `path`, ready for [`RoxEngine::open_snapshot`].
     pub fn save_snapshot(&self, path: &Path) -> Result<SaveReport, StorageError> {
         Snapshot::save(path, &self.store)
     }
@@ -723,7 +723,7 @@ impl RoxEngine {
         // duplicate one already in the snapshot, which replay dedups).
         let symbols_logged = self.catalog().interner().len();
         let epochs = self.epoch_table();
-        let out = recovery::write_checkpoint(dir, &self.store, epochs, 1, &*io, DEFAULT_PAGE_SIZE)?;
+        let out = recovery::write_checkpoint(dir, &self.store, epochs, 1, &*io)?;
         let state = DurableState {
             dir: dir.to_path_buf(),
             io,
@@ -758,14 +758,7 @@ impl RoxEngine {
         let symbols_logged = self.catalog().interner().len();
         let epochs = self.epoch_table();
         let cp_lsn = d.wal.last_lsn() + 1;
-        let out = recovery::write_checkpoint(
-            &d.dir,
-            &self.store,
-            epochs,
-            cp_lsn,
-            &*d.io,
-            DEFAULT_PAGE_SIZE,
-        )?;
+        let out = recovery::write_checkpoint(&d.dir, &self.store, epochs, cp_lsn, &*d.io)?;
         d.wal.install_rotated(out.wal_file, cp_lsn, out.wal_bytes);
         cur.symbols_logged = symbols_logged;
         Ok(out.report)
@@ -842,32 +835,6 @@ impl RoxEngine {
             durable: RwLock::new(None),
             wal_replayed: AtomicU64::new(0),
         }
-    }
-
-    /// Drop the in-memory residency of every snapshot-backed document —
-    /// resident node tables, index cells, and base lists — without
-    /// touching epochs, plans, or the snapshot's validity. The next query
-    /// reads and decodes each touched segment again. Nothing calls this
-    /// on its own: residency is unbounded until the embedder asks.
-    /// Returns the number of documents released (always 0 for an
-    /// engine without a snapshot — releasing would lose the only copy).
-    pub fn release_residency(&self) -> usize {
-        let Some(source) = &self.snapshot else {
-            return 0;
-        };
-        let mut released = 0;
-        for id in self.catalog().doc_ids() {
-            // A stale document's only current copy is the resident one —
-            // evicting it would re-fault the superseded stored content.
-            if source.is_stale(id) {
-                continue;
-            }
-            if self.store.release(id) {
-                released += 1;
-            }
-            self.base_lists.invalidate_doc(id);
-        }
-        released
     }
 
     /// The engine's always-on worker pool.
@@ -1098,7 +1065,7 @@ impl RoxEngine {
             snapshot_pages: self
                 .snapshot
                 .as_ref()
-                .map(|s| s.page_count() as u64)
+                .map(|s| s.segment_count())
                 .unwrap_or(0),
             storage_loads: self.store.load_count(),
             wal: self

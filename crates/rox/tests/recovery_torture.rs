@@ -1,7 +1,7 @@
 //! The crash-recovery torture suite: hundreds of seeded schedules of
 //! durable mutations (invalidates, reindexes, checkpoints) are driven
 //! into a fault-injected storage layer that dies mid-write — short
-//! writes, torn pages, lying fsyncs — at a seeded byte offset. After
+//! writes, torn writes, lying fsyncs — at a seeded byte offset. After
 //! every crash the directory is recovered with honest I/O and checked
 //! against an engine that never crashed:
 //!
@@ -261,7 +261,7 @@ fn prove_recovery(tag: &str, dir: &Path, ops: &[Op], run: &Drive) -> Lsn {
 }
 
 /// The torture loop: ≥ 200 seeded crash schedules across all three
-/// fault modes (`seed % 3` cycles short write / torn page / fsync lie),
+/// fault modes (`seed % 3` cycles short write / torn write / fsync lie),
 /// each calibrated so the crash lands uniformly anywhere in the
 /// workload — inside a WAL append, a group commit, or a checkpoint's
 /// snapshot write, rename or directory sync.

@@ -1,12 +1,13 @@
 //! Engine ↔ snapshot-storage integration: cold opens serve bit-identical
-//! results without parsing or index builds, every released segment is
-//! read again exactly once, and invalidate/reindex guarantee a snapshot
-//! never serves an index from a superseded epoch.
+//! results without parsing or index builds, every segment is read exactly
+//! once per engine — also under concurrent first touches — and
+//! invalidate/reindex guarantee a snapshot never serves an index from a
+//! superseded epoch.
 
 use rox_core::{PlanReuse, RoxEngine, RoxOptions};
 use rox_xmldb::Catalog;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const SITE_V1: &str = r#"<site><open_auction><bidder><increase>12</increase></bidder><bidder><increase>30</increase></bidder><current>150</current></open_auction><open_auction><bidder><increase>7</increase></bidder><current>40</current></open_auction></site>"#;
 const SITE_V2: &str = r#"<site><open_auction><bidder><increase>99</increase></bidder><current>500</current></open_auction></site>"#;
@@ -52,19 +53,17 @@ fn open_snapshot_serves_bit_identical_outputs_without_rebuilds() {
     let stats = engine.stats();
     assert_eq!(stats.index_builds, 0, "indexes must decode, not rebuild");
     assert!(stats.storage_loads >= 2, "doc + indexes faulted: {stats:?}");
-    assert!(stats.pages.misses > 0, "pages were read: {stats:?}");
+    assert_eq!(stats.pages.misses, u64::from(report.pages), "{stats:?}");
     assert_eq!(stats.snapshot_pages, report.pages as u64);
     std::fs::remove_file(&path).ok();
 }
 
 /// The invariant the whole read path rests on: a segment is read once per
-/// residency. Every release → query cycle reads the document's two
-/// segments again — exactly their pages, no page twice — and decodes the
-/// same bits without building an index.
+/// engine. The open reads the symbol heap and the directory; the first
+/// query reads the document's two segments; later queries read nothing.
 #[test]
-fn release_and_refault_reads_each_segment_again() {
-    let path = snap_path("refault");
-    // Small pages make both segments span many pages.
+fn each_segment_is_read_once_per_engine() {
+    let path = snap_path("once");
     let mut xml = String::from("<site>");
     for i in 0..150 {
         xml.push_str(&format!(
@@ -76,24 +75,64 @@ fn release_and_refault_reads_each_segment_again() {
     xml.push_str("</site>");
     let fresh = parsed_engine(&xml);
     let expected = run(&fresh);
-    let report = rox_storage::Snapshot::save_with_page_size(&path, fresh.store(), 256).unwrap();
+    let report = fresh.save_snapshot(&path).unwrap();
 
     let engine = RoxEngine::open_snapshot(&path, None).unwrap();
-    // The open read the symbol heap and the directory; what is left of
-    // the file, bar the header page, is the document's two segments.
-    let mut read = engine.stats().pages.misses;
-    let per_cycle = u64::from(report.pages) - 1 - read;
-    assert!(per_cycle > 2, "segments must be multi-page: {report:?}");
-    for cycle in 0..4 {
-        if cycle > 0 {
-            assert_eq!(engine.release_residency(), 1, "cycle {cycle}");
-        }
-        assert_eq!(run(&engine), expected, "cycle {cycle} output diverged");
-        let now = engine.stats().pages.misses;
-        assert_eq!(now - read, per_cycle, "cycle {cycle} page reads");
-        read = now;
+    assert_eq!(engine.stats().pages.misses, 2, "open: symbols + directory");
+    for query in 0..4 {
+        assert_eq!(run(&engine), expected, "query {query} output diverged");
+        let stats = engine.stats();
+        assert_eq!(stats.pages.misses, u64::from(report.pages), "query {query}");
     }
     assert_eq!(engine.stats().index_builds, 0);
+    std::fs::remove_file(&path).ok();
+}
+
+/// First touches of different documents race without a lock around the
+/// positioned read: four threads each fault in their own document of one
+/// snapshot, and every segment is still read exactly once.
+#[test]
+fn concurrent_first_touches_read_each_segment_once() {
+    let path = snap_path("concurrent");
+    let catalog = Arc::new(Catalog::new());
+    for d in 0..4 {
+        let mut xml = String::from("<site>");
+        for i in 0..40 + 5 * d {
+            xml.push_str(&format!(
+                "<open_auction><bidder><increase>{}</increase></bidder></open_auction>",
+                (i * 7 + d) % 30
+            ));
+        }
+        xml.push_str("</site>");
+        catalog.load_str(&format!("site{d}.xml"), &xml).unwrap();
+    }
+    let fresh = RoxEngine::new(catalog);
+    let query = |d: usize| {
+        rox_joingraph::compile_query(&QUERY.replace("site.xml", &format!("site{d}.xml"))).unwrap()
+    };
+    let expected: Vec<_> = (0..4)
+        .map(|d| fresh.run(&query(d), RoxOptions::default()).unwrap().output)
+        .collect();
+    let report = fresh.save_snapshot(&path).unwrap();
+
+    let engine = RoxEngine::open_snapshot(&path, None).unwrap();
+    let barrier = Barrier::new(4);
+    let outputs: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..4)
+            .map(|d| {
+                let (engine, barrier, graph) = (&engine, &barrier, query(d));
+                s.spawn(move || {
+                    barrier.wait();
+                    engine.run(&graph, RoxOptions::default()).unwrap().output
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(outputs, expected);
+    let stats = engine.stats();
+    assert_eq!(stats.pages.misses, u64::from(report.pages), "{stats:?}");
+    assert_eq!(stats.index_builds, 0);
     std::fs::remove_file(&path).ok();
 }
 
@@ -123,10 +162,6 @@ fn invalidation_bumps_the_epoch_and_kills_stored_index_segments() {
         engine.stats().index_builds >= 1,
         "the new epoch's indexes must be rebuilt from the live document"
     );
-
-    // Residency sweeps must not evict the only current copy either.
-    engine.release_residency();
-    assert_eq!(run(&engine), v2_expected, "stale doc evicted by sweep");
     std::fs::remove_file(&path).ok();
 }
 

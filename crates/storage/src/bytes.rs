@@ -1,8 +1,7 @@
 //! Little-endian byte codec for snapshot segments.
 //!
-//! A *segment* is a logical byte stream stored across a contiguous run of
-//! pages (each segment starts on a fresh page; its last page may be
-//! partially filled). [`ByteWriter`] builds the stream in memory at save
+//! A *segment* is one contiguous byte stream of the snapshot file, checked
+//! by one CRC-32C. [`ByteWriter`] builds the stream in memory at save
 //! time. At open time segments are read whole
 //! ([`crate::file::FileManager::read_segment`]) and decoded from memory
 //! with [`SliceReader`].
@@ -55,28 +54,6 @@ impl RunCodec {
             2 => RunCodec::BitPacked,
             _ => return Err(StorageError::Format(format!("invalid run codec tag {b}"))),
         })
-    }
-
-    /// Short human-readable name (bench/stats output).
-    pub fn name(self) -> &'static str {
-        match self {
-            RunCodec::Raw => "raw",
-            RunCodec::DeltaVarint => "delta-varint",
-            RunCodec::BitPacked => "bitpacked",
-        }
-    }
-
-    /// The bit for this codec in a segment's codec mask.
-    pub fn mask_bit(self) -> u8 {
-        1 << (self as u8)
-    }
-
-    /// The codecs named by a segment codec mask.
-    pub fn from_mask(mask: u8) -> Vec<RunCodec> {
-        [RunCodec::Raw, RunCodec::DeltaVarint, RunCodec::BitPacked]
-            .into_iter()
-            .filter(|c| mask & c.mask_bit() != 0)
-            .collect()
     }
 }
 
@@ -296,7 +273,6 @@ pub fn unpack_u32s(codec: RunCodec, payload: &[u8], n: usize) -> Result<Vec<u32>
 pub struct ByteWriter {
     buf: Vec<u8>,
     packed_raw_delta: u64,
-    codec_mask: u8,
 }
 
 impl ByteWriter {
@@ -321,12 +297,6 @@ impl ByteWriter {
     /// report.
     pub fn raw_len(&self) -> u64 {
         self.buf.len() as u64 + self.packed_raw_delta
-    }
-
-    /// Bitmask of every [`RunCodec`] chosen by packed runs so far
-    /// (bit = `1 << codec as u8`).
-    pub fn codec_mask(&self) -> u8 {
-        self.codec_mask
     }
 
     /// Append one byte.
@@ -369,7 +339,6 @@ impl ByteWriter {
         self.put_u8(codec as u8);
         self.put_u32(u32::try_from(payload.len()).expect("packed run too long for snapshot"));
         self.buf.extend_from_slice(&payload);
-        self.codec_mask |= codec.mask_bit();
         let raw = vs.len() as u64 * 4;
         self.packed_raw_delta += raw.saturating_sub(5 + payload.len() as u64);
         codec
@@ -566,10 +535,6 @@ mod tests {
         let mut w = ByteWriter::new();
         assert_eq!(w.put_packed_u32s(&sorted), RunCodec::DeltaVarint);
         assert_eq!(w.put_packed_u32_vec(&wild), RunCodec::BitPacked);
-        assert_eq!(
-            w.codec_mask(),
-            RunCodec::DeltaVarint.mask_bit() | RunCodec::BitPacked.mask_bit()
-        );
         assert!(w.raw_len() > w.len() as u64);
         // Raw equivalent: 4 bytes per value plus the vec's count prefix.
         assert_eq!(w.raw_len(), (sorted.len() + wild.len()) as u64 * 4 + 4);

@@ -1,23 +1,24 @@
 //! Error type of the storage layer.
 //!
 //! Every failure mode is explicit: I/O errors bubble up from the file
-//! manager, corruption is *detected* (checksummed pages) and reported with
-//! the offending page, and format violations (truncated segments, invalid
-//! tags) are surfaced instead of decoding garbage.
+//! manager, corruption is *detected* (one CRC-32C per segment) and reported
+//! with the offset of the offending segment, and format violations
+//! (truncated segments, invalid tags) are surfaced instead of decoding
+//! garbage.
 
 use std::fmt;
 
-/// Errors produced by the page file, snapshot codec and write-ahead log.
+/// Errors produced by the snapshot file, snapshot codec and write-ahead log.
 #[derive(Debug)]
 pub enum StorageError {
     /// An operating-system I/O failure.
     Io(std::io::Error),
-    /// A page failed validation: bad magic, mismatched id, impossible
-    /// payload length or checksum mismatch. The snapshot refuses to decode
-    /// rather than propagate silent corruption.
+    /// A segment (or the snapshot header) failed its checksum. The
+    /// snapshot refuses to decode rather than propagate silent corruption.
     Corrupt {
-        /// The page that failed validation.
-        page: u32,
+        /// File offset of the segment that failed validation (0 for the
+        /// header).
+        offset: u64,
         /// What exactly failed.
         reason: String,
     },
@@ -30,8 +31,8 @@ impl fmt::Display for StorageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StorageError::Io(e) => write!(f, "storage I/O error: {e}"),
-            StorageError::Corrupt { page, reason } => {
-                write!(f, "page {page} is corrupt: {reason}")
+            StorageError::Corrupt { offset, reason } => {
+                write!(f, "segment at byte {offset} is corrupt: {reason}")
             }
             StorageError::Format(reason) => write!(f, "invalid snapshot: {reason}"),
         }

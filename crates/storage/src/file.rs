@@ -1,18 +1,16 @@
-//! The page file manager: positioned segment reads over one snapshot file.
+//! Positioned segment reads over one snapshot file.
 //!
-//! The file is an array of `page_size`-byte pages (see [`crate::page`]).
-//! A segment — a contiguous run of pages — is the unit of I/O:
-//! [`FileManager::read_segment`] fetches the whole run with one positioned
-//! read (`pread` on unix, so no seek state to serialize), validates every
-//! page where it landed and returns the concatenated payloads. Nothing is
-//! cached here; the OS page cache does readahead and replacement.
+//! A snapshot is a fixed header followed by its segments back to back
+//! (see [`crate::snapshot`]), each located by `{offset, len, crc32c}`.
+//! [`FileManager::read_segment`] fetches one segment with one positioned
+//! read (`pread` on unix, `seek_read` on windows — neither shares a seek
+//! cursor, so concurrent reads need no lock) and checks its CRC-32C.
+//! Nothing is cached here; the OS page cache does readahead and
+//! replacement.
 
+use crate::crc::crc32c;
 use crate::error::{Result, StorageError};
-use crate::page::{decode_page, PAGE_HEADER};
-use parking_lot::Mutex;
 use std::fs::File;
-use std::io::Read;
-use std::path::Path;
 
 /// Retry `op` across transient I/O failures (`EINTR`, `EAGAIN`) with a
 /// bounded exponential backoff instead of bubbling a hard error: a signal
@@ -40,256 +38,133 @@ pub fn retry_transient<T>(mut op: impl FnMut() -> std::io::Result<T>) -> std::io
     Err(last.expect("retry loop exits early without an error"))
 }
 
-/// Fsync the parent directory of `path`: a file's own fsync persists its
-/// data, but the *directory entry* naming it lives in the parent's data
-/// and can still be lost on power failure until the directory is synced.
-/// No-op on platforms where directories cannot be opened as files.
-pub fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
-    #[cfg(unix)]
-    {
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            retry_transient(|| File::open(dir))?.sync_all()?;
-        }
-    }
-    #[cfg(not(unix))]
-    let _ = path;
-    Ok(())
-}
-
-/// Read access to one snapshot page file.
+/// Read access to one snapshot file.
 pub struct FileManager {
-    file: Mutex<File>,
-    page_size: usize,
-    page_count: u32,
+    file: File,
+    len: u64,
 }
 
 impl FileManager {
-    /// Wrap an open file whose page size is already known (parsed from the
-    /// header page — see [`read_header_payload`]).
-    pub fn new(file: File, page_size: usize, page_count: u32) -> Self {
-        FileManager {
-            file: Mutex::new(file),
-            page_size,
-            page_count,
-        }
+    /// Wrap an open file whose length on disk is `len` bytes.
+    pub fn new(file: File, len: u64) -> Self {
+        FileManager { file, len }
     }
 
-    /// The page size this file was written with.
-    pub fn page_size(&self) -> usize {
-        self.page_size
-    }
-
-    /// Payload capacity of one full page.
-    pub fn payload_per_page(&self) -> usize {
-        self.page_size - PAGE_HEADER
-    }
-
-    /// Total pages in the file, including the header page.
-    pub fn page_count(&self) -> u32 {
-        self.page_count
-    }
-
-    /// Read the `len`-byte segment starting at `first_page`: one
-    /// positioned read of its whole page run, every page validated
-    /// (magic, id, length, CRC-32C), payloads concatenated.
+    /// Read the `len`-byte segment at `offset` and check it against its
+    /// CRC-32C `crc`: one positioned read, one checksum.
     ///
-    /// `len` and the page run are bounded by the file's declared page
-    /// count before any buffer is sized from them, so a corrupt directory
-    /// cannot force an absurd allocation.
-    pub fn read_segment(&self, first_page: u32, len: u64) -> Result<Vec<u8>> {
-        let payload = self.payload_per_page() as u64;
-        let cap = u64::from(self.page_count) * payload;
-        if len > cap {
+    /// `offset + len` is bounded by the file length before any buffer is
+    /// sized from it, so a corrupt directory cannot force an absurd
+    /// allocation.
+    pub fn read_segment(&self, offset: u64, len: u64, crc: u32) -> Result<Vec<u8>> {
+        if offset.checked_add(len).is_none_or(|end| end > self.len) {
             return Err(StorageError::Format(format!(
-                "segment of {len} bytes exceeds file capacity of {cap}"
+                "segment of {len} bytes at {offset} runs past the {}-byte file",
+                self.len
             )));
         }
-        // `len <= cap` bounds the run by `page_count`, so it fits a u32.
-        let pages = len.div_ceil(payload) as u32;
-        let end = first_page
-            .checked_add(pages)
-            .filter(|&e| e <= self.page_count)
-            .ok_or_else(|| {
-                StorageError::Format(format!(
-                    "pages {first_page}..{} beyond file end ({} pages)",
-                    u64::from(first_page) + u64::from(pages),
-                    self.page_count
-                ))
-            })?;
-        let mut buf = vec![0u8; self.page_size * pages as usize];
-        {
-            let file = self.file.lock();
-            read_at(
-                &file,
-                &mut buf,
-                u64::from(first_page) * self.page_size as u64,
-            )?;
+        let mut buf = vec![0u8; len as usize];
+        read_at(&self.file, &mut buf, offset)?;
+        let actual = crc32c(&buf);
+        if actual != crc {
+            return Err(StorageError::Corrupt {
+                offset,
+                reason: format!("checksum mismatch: stored {crc:#010x}, computed {actual:#010x}"),
+            });
         }
-        // Validate each page where it landed, then slide its payload down
-        // over the headers and padding already consumed.
-        let mut filled = 0usize;
-        for page_id in first_page..end {
-            let at = (page_id - first_page) as usize * self.page_size;
-            let want = (len as usize - filled).min(payload as usize);
-            let got = decode_page(page_id, &buf[at..at + self.page_size])?.len();
-            if got < want {
-                return Err(StorageError::Corrupt {
-                    page: page_id,
-                    reason: format!("payload of {got} bytes where the segment needs {want}"),
-                });
-            }
-            buf.copy_within(at + PAGE_HEADER..at + PAGE_HEADER + want, filled);
-            filled += want;
-        }
-        buf.truncate(filled);
         Ok(buf)
     }
 }
 
+/// Fill `buf` from `file` at `offset` without touching a seek cursor.
 #[cfg(unix)]
-fn read_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+pub(crate) fn read_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
     use std::os::unix::fs::FileExt;
     retry_transient(|| file.read_exact_at(buf, offset))
 }
 
-#[cfg(not(unix))]
-fn read_at(mut file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
-    use std::io::{Seek, SeekFrom};
-    retry_transient(|| {
-        file.seek(SeekFrom::Start(offset))?;
-        file.read_exact(buf)
-    })
-}
-
-/// Read and validate the header page (page 0) of the file at `path`
-/// *without knowing the page size yet*: the fixed 16-byte page header
-/// carries the payload length, so the payload can be read and checksummed
-/// first and the page size parsed out of it afterwards.
-///
-/// Returns the opened file and the header payload.
-pub fn read_header_payload(path: &Path) -> Result<(File, Vec<u8>)> {
-    let mut file = File::open(path)?;
-    let mut head = [0u8; PAGE_HEADER];
-    file.read_exact(&mut head)?;
-    let payload_len = u32::from_le_bytes(head[8..12].try_into().unwrap()) as usize;
-    // An absurd length means this is not a snapshot; bound the read before
-    // trusting it.
-    if payload_len > 1 << 20 {
-        return Err(StorageError::Corrupt {
-            page: 0,
-            reason: format!("header payload length {payload_len} is implausible"),
-        });
+/// Fill `buf` from `file` at `offset` without touching a seek cursor.
+#[cfg(windows)]
+pub(crate) fn read_at(file: &File, mut buf: &mut [u8], mut offset: u64) -> std::io::Result<()> {
+    use std::os::windows::fs::FileExt;
+    while !buf.is_empty() {
+        match retry_transient(|| file.seek_read(buf, offset))? {
+            0 => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+            n => {
+                buf = &mut buf[n..];
+                offset += n as u64;
+            }
+        }
     }
-    let mut raw = vec![0u8; PAGE_HEADER + payload_len];
-    raw[..PAGE_HEADER].copy_from_slice(&head);
-    file.read_exact(&mut raw[PAGE_HEADER..])?;
-    let payload = decode_page(0, &raw)?.to_vec();
-    Ok((file, payload))
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::encode_page;
-    use std::io::Write;
 
-    fn temp_path(name: &str) -> std::path::PathBuf {
+    /// A file holding `stream` after a 7-byte prefix, so segments start
+    /// at nonzero offsets.
+    fn stream_file(name: &str, stream: &[u8]) -> (std::path::PathBuf, FileManager) {
         let mut p = std::env::temp_dir();
         p.push(format!("rox-storage-file-{}-{name}", std::process::id()));
-        p
-    }
-
-    /// Write `stream` as a page file of `page_size`-byte pages whose
-    /// page 0 is a placeholder header, so the stream is the segment at
-    /// page 1.
-    fn stream_file(
-        name: &str,
-        stream: &[u8],
-        page_size: usize,
-    ) -> (std::path::PathBuf, FileManager) {
-        let path = temp_path(name);
-        let mut f = File::create(&path).unwrap();
-        f.write_all(&encode_page(0, b"header", page_size)).unwrap();
-        let mut pages = 1u32;
-        for chunk in stream.chunks(page_size - PAGE_HEADER) {
-            f.write_all(&encode_page(pages, chunk, page_size)).unwrap();
-            pages += 1;
-        }
-        drop(f);
-        let fm = FileManager::new(File::open(&path).unwrap(), page_size, pages);
-        (path, fm)
+        let mut bytes = b"prefix!".to_vec();
+        bytes.extend_from_slice(stream);
+        std::fs::write(&p, &bytes).unwrap();
+        let fm = FileManager::new(File::open(&p).unwrap(), bytes.len() as u64);
+        (p, fm)
     }
 
     #[test]
-    fn read_segment_roundtrips_across_page_boundaries() {
+    fn read_segment_roundtrips_any_run() {
         let stream: Vec<u8> = (0..10_000u32).map(|i| (i * 31 % 251) as u8).collect();
-        for page_size in [64, 4096] {
-            let (path, fm) = stream_file(&format!("roundtrip-{page_size}"), &stream, page_size);
-            assert_eq!(fm.read_segment(1, stream.len() as u64).unwrap(), stream);
-            // A prefix ending mid-page, a sub-run starting on a later
-            // page, and the empty segment (which owns no page at all).
-            assert_eq!(fm.read_segment(1, 100).unwrap(), stream[..100]);
-            let payload = fm.payload_per_page();
-            assert_eq!(
-                fm.read_segment(2, payload as u64 + 1).unwrap(),
-                stream[payload..2 * payload + 1]
-            );
-            assert!(fm.read_segment(1, 0).unwrap().is_empty());
-            std::fs::remove_file(&path).ok();
-        }
-    }
-
-    #[test]
-    fn read_segment_bounds_length_and_page_run() {
-        let stream = [7u8; 100]; // 48-byte payloads: pages 1..=3, the last holding 4 bytes
-        let (path, fm) = stream_file("bounds", &stream, 64);
-        let format = |r: Result<Vec<u8>>| matches!(r, Err(StorageError::Format(_)));
-        // A declared length beyond the whole file's capacity.
-        assert!(format(fm.read_segment(1, u64::MAX)));
-        assert!(format(fm.read_segment(1, 4 * 48 + 1)));
-        // A length the file could hold, but not from this first page.
-        assert!(format(fm.read_segment(2, 3 * 48)));
-        assert!(format(fm.read_segment(4, 1)));
-        assert!(format(fm.read_segment(u32::MAX, 1)));
-        // A length the page run covers but the stored payloads do not:
-        // the short last page is named, nothing is fabricated.
-        assert!(matches!(
-            fm.read_segment(1, 3 * 48),
-            Err(StorageError::Corrupt { page: 3, .. })
-        ));
+        let (path, fm) = stream_file("roundtrip", &stream);
+        let seg = |at: usize, len: usize| {
+            let want = &stream[at..at + len];
+            fm.read_segment(7 + at as u64, len as u64, crc32c(want))
+        };
+        assert_eq!(seg(0, stream.len()).unwrap(), stream);
+        assert_eq!(seg(100, 1).unwrap(), stream[100..101]);
+        assert_eq!(seg(9_000, 1_000).unwrap(), stream[9_000..]);
+        assert!(seg(5, 0).unwrap().is_empty());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn read_segment_names_the_corrupt_middle_page() {
+    fn read_segment_bounds_offset_and_length_before_allocating() {
+        let (path, fm) = stream_file("bounds", &[7u8; 100]); // 107 bytes
+        let format = |r: Result<Vec<u8>>| matches!(r, Err(StorageError::Format(_)));
+        // Past the file end, by one byte or by far (an allocation of
+        // u64::MAX would abort, not error).
+        assert!(format(fm.read_segment(7, 101, 0)));
+        assert!(format(fm.read_segment(108, 0, 0)));
+        assert!(format(fm.read_segment(0, u64::MAX, 0)));
+        // `offset + len` overflowing u64 is not allowed to wrap in range.
+        assert!(format(fm.read_segment(u64::MAX, 1, 0)));
+        assert!(format(fm.read_segment(2, u64::MAX - 1, 0)));
+        // The last byte is in range.
+        assert!(fm.read_segment(106, 1, crc32c(&[7])).is_ok());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn read_segment_names_the_corrupt_segment() {
         let stream: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
-        let (path, fm) = stream_file("middle", &stream, 128);
+        let (path, fm) = stream_file("corrupt", &stream);
         drop(fm);
         let mut bytes = std::fs::read(&path).unwrap();
-        let pages = (bytes.len() / 128) as u32;
-        bytes[5 * 128 + 40] ^= 0xFF; // inside page 5's payload
+        bytes[7 + 500] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        let fm = FileManager::new(File::open(&path).unwrap(), 128, pages);
-        let err = fm.read_segment(1, stream.len() as u64).unwrap_err();
+        let fm = FileManager::new(File::open(&path).unwrap(), bytes.len() as u64);
+        let (a, b) = (&stream[..400], &stream[400..]);
+        // The segment holding the flipped byte fails, named by its offset;
+        // its neighbour still reads.
+        let err = fm.read_segment(407, b.len() as u64, crc32c(b)).unwrap_err();
         assert!(
-            matches!(err, StorageError::Corrupt { page: 5, .. }),
+            matches!(err, StorageError::Corrupt { offset: 407, .. }),
             "{err}"
         );
-        // Segments that do not cross the bad page still read.
-        assert_eq!(fm.read_segment(1, 4 * 112).unwrap(), stream[..4 * 112]);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn header_page_reads_without_page_size() {
-        let path = temp_path("header");
-        {
-            let mut f = File::create(&path).unwrap();
-            f.write_all(&encode_page(0, b"header payload", 256))
-                .unwrap();
-        }
-        let (_file, payload) = read_header_payload(&path).unwrap();
-        assert_eq!(payload, b"header payload");
+        assert_eq!(fm.read_segment(7, 400, crc32c(a)).unwrap(), a);
         std::fs::remove_file(&path).ok();
     }
 
@@ -325,18 +200,5 @@ mod tests {
         });
         assert_eq!(out.unwrap_err().kind(), ErrorKind::NotFound);
         assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn corrupt_header_is_rejected() {
-        let path = temp_path("corrupt-header");
-        {
-            let mut page = encode_page(0, b"header payload", 256);
-            page[20] ^= 0xFF;
-            let mut f = File::create(&path).unwrap();
-            f.write_all(&page).unwrap();
-        }
-        assert!(read_header_payload(&path).is_err());
-        std::fs::remove_file(&path).ok();
     }
 }

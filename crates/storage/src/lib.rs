@@ -1,23 +1,22 @@
 #![warn(missing_docs)]
 
-//! # rox-storage — page-oriented snapshot storage and a write-ahead log
+//! # rox-storage — segment-framed snapshot storage and a write-ahead log
 //!
 //! Cold starts used to mean re-parsing and re-shredding every XML source.
 //! This crate persists a shredded catalog — the Pre-columnar node tables,
 //! the shared interner's symbol heap, and the prebuilt element/value
-//! indices — as a page file, and faults it back in *lazily*, one whole
-//! segment per first touch. A segment is the unit of I/O, the decoded
-//! document is the unit of caching, and the OS page cache does readahead
-//! and replacement:
+//! indices — as one snapshot file of checksummed segments, and faults it
+//! back in *lazily*, one whole segment per first touch. A segment is the
+//! unit of format and of I/O, the decoded document is the unit of
+//! caching, and the OS page cache does readahead and replacement:
 //!
-//! * [`page`] — the fixed-size page format: 16-byte checksummed header
-//!   (magic, page id, payload length, CRC-32C) + little-endian payload.
-//!   Corruption is a detected [`StorageError::Corrupt`], never silent.
-//! * [`mod@file`] — one positioned read per segment over the snapshot
-//!   file, every page of the run validated.
-//! * [`bytes`] — the segment codec: logical byte streams spanning pages,
-//!   read whole and decoded from memory, with delta+varint / bitpacked
-//!   integer runs ([`bytes::RunCodec`]) chosen per run.
+//! * [`crc`] — CRC-32C, one per segment, one for the snapshot header and
+//!   one per WAL frame. Corruption is a detected
+//!   [`StorageError::Corrupt`], never silent.
+//! * [`mod@file`] — one positioned read and one checksum per segment.
+//! * [`bytes`] — the segment codec: byte streams read whole and decoded
+//!   from memory, with delta+varint / bitpacked integer runs
+//!   ([`bytes::RunCodec`]) chosen per run.
 //! * [`snapshot`] — [`Snapshot::save`] / [`Snapshot::open`] plus
 //!   [`SnapshotSource`], the [`rox_index::DocSource`] implementation that
 //!   the engine's `IndexedStore` faults documents and indices through.
@@ -28,7 +27,7 @@
 //!   (tmp-write → verify → rename → dir-fsync) and [`recover`], which
 //!   replays the log tail over the newest valid snapshot.
 //! * [`failpoint`] — deterministic fault injection (short writes, torn
-//!   pages, lying syncs at seeded byte budgets) powering the recovery
+//!   writes, lying syncs at seeded byte budgets) powering the recovery
 //!   torture suite.
 //!
 //! The encoder is deterministic (documents in id order, index groups
@@ -37,18 +36,18 @@
 //! detect accidental format changes.
 
 pub mod bytes;
+pub mod crc;
 pub mod error;
 pub mod failpoint;
 pub mod file;
-pub mod page;
 pub mod recovery;
 pub mod snapshot;
 pub mod wal;
 
 pub use bytes::RunCodec;
+pub use crc::crc32c;
 pub use error::{Result, StorageError};
 pub use failpoint::{FailpointFile, FailpointIo, FailpointState, FaultMode, FaultPlan};
-pub use page::{crc32c, DEFAULT_PAGE_SIZE, PAGE_HEADER};
 pub use recovery::{recover, write_checkpoint, RecoveredState, RecoveryReport};
 pub use snapshot::{PoolStats, SaveReport, Snapshot, SnapshotSource, SNAPSHOT_VERSION};
 pub use wal::{Lsn, StdWalIo, Wal, WalIo, WalRecord, WalStats};

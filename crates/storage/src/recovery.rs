@@ -6,7 +6,7 @@
 //!
 //! | file               | contents                                    |
 //! |--------------------|---------------------------------------------|
-//! | `snapshot.rox`     | the newest complete snapshot (page file)    |
+//! | `snapshot.rox`     | the newest complete snapshot                |
 //! | `wal.rox`          | the log extending it (see [`crate::wal`])   |
 //! | `*.tmp`            | checkpoint scratch; deleted on recovery     |
 //!
@@ -72,7 +72,7 @@ fn tmp_of(path: &Path) -> PathBuf {
 /// it cannot prove the bytes reached stable media — power-failure
 /// durability rests on the sync + rename + dir-fsync ordering, not on
 /// this check.
-fn publish(dir: &Path, path: &Path, bytes: &[u8], io: &dyn WalIo) -> Result<()> {
+pub(crate) fn publish(dir: &Path, path: &Path, bytes: &[u8], io: &dyn WalIo) -> Result<()> {
     let tmp = tmp_of(path);
     {
         let mut file = io.create(&tmp)?;
@@ -82,7 +82,7 @@ fn publish(dir: &Path, path: &Path, bytes: &[u8], io: &dyn WalIo) -> Result<()> 
     let on_disk = retry_transient(|| std::fs::read(&tmp))?;
     if on_disk != bytes {
         return Err(StorageError::Format(format!(
-            "checkpoint verify failed: {} bytes read back, {} written — a write was dropped or truncated",
+            "verify before rename failed: {} bytes read back, {} written — a write was dropped or truncated",
             on_disk.len(),
             bytes.len()
         )));
@@ -114,9 +114,8 @@ pub fn write_checkpoint(
     epochs: Vec<(String, u64)>,
     cp_lsn: Lsn,
     io: &dyn WalIo,
-    page_size: usize,
 ) -> Result<CheckpointOutcome> {
-    let (image, mut report) = Snapshot::encode_image(store, page_size);
+    let (image, mut report) = Snapshot::encode_image(store);
     publish(dir, &dir.join(SNAPSHOT_FILE), &image, io)?;
     report.fsyncs = 2;
 

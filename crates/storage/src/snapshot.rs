@@ -1,41 +1,43 @@
-//! Snapshot save/open: persisting a shredded catalog and its indices as a
-//! page file, and faulting them back in one whole segment at a time.
+//! Snapshot save/open: persisting a shredded catalog and its indices as
+//! one file of checksummed segments, and faulting them back in one whole
+//! segment at a time.
 //!
-//! A segment is the unit of I/O and the decoded document is the unit of
-//! caching: each first touch reads its segment straight from the file
-//! ([`FileManager::read_segment`]), decodes it from memory, and the result
-//! stays resident in the catalog/[`IndexedStore`]. No page is cached here;
-//! the OS page cache does readahead and replacement.
+//! A segment is the unit of format, of I/O and of checksumming, and the
+//! decoded document is the unit of caching: each first touch reads its
+//! segment straight from the file ([`FileManager::read_segment`]), checks
+//! its CRC-32C, decodes it from memory, and the result stays resident in
+//! the catalog/[`IndexedStore`]. Nothing is cached here; the OS page cache
+//! does readahead and replacement.
 //!
-//! ## File layout
+//! ## File layout (format version 3)
 //!
-//! Page 0 is the header page; its payload is:
+//! A fixed header, then the segments back to back — no padding, no
+//! framing between them:
 //!
-//! | field        | type  | meaning                                  |
-//! |--------------|-------|------------------------------------------|
-//! | magic        | 8 B   | `"ROXSNAP1"`                             |
-//! | version      | `u32` | format version (currently 2)             |
-//! | page_size    | `u32` | page size the file was written with      |
-//! | page_count   | `u32` | total pages including this one           |
-//! | symbols seg  | `u32`+`u64` | first page + byte length           |
-//! | directory seg| `u32`+`u64` | first page + byte length           |
+//! | field        | type                    | meaning                      |
+//! |--------------|-------------------------|------------------------------|
+//! | magic        | 8 B                     | `"ROXSNAP1"`                 |
+//! | version      | `u32`                   | format version (3)           |
+//! | file length  | `u64`                   | bytes in the whole file      |
+//! | symbols seg  | `u64`+`u64`+`u32`       | offset, length, CRC-32C      |
+//! | directory seg| `u64`+`u64`+`u32`       | offset, length, CRC-32C      |
+//! | header CRC   | `u32`                   | CRC-32C of the fields above  |
 //!
-//! Everything else lives in *segments* — page-aligned byte streams (see
-//! [`crate::bytes`]): per document one **document segment** (the six
-//! Pre-columnar node-table columns) and one **index segment** (element
-//! index groups, CSR value tables, numeric runs), then the **symbol heap**
-//! (the interner dump) and the **directory** (URI → segment locations).
-//! The header page is written last, so a crash mid-save leaves a file
-//! that fails header validation instead of a plausible half-snapshot.
+//! The segments are, per document in id order, one **document segment**
+//! (the six Pre-columnar node-table columns) and one **index segment**
+//! (element index groups, CSR value tables, numeric runs), then the
+//! **symbol heap** (the interner dump) and the **directory** (per URI the
+//! `{offset, length, CRC-32C}` of both its segments). Every byte of the
+//! file is covered by exactly one checksum, and a file whose length on
+//! disk differs from its header's is rejected at open. Atomicity is the
+//! writer's: tmp-write → read-back verify → rename → dir-fsync.
 //!
-//! Since format version 2 every integer column travels as a *packed run*
+//! Every integer column travels as a *packed run*
 //! ([`crate::bytes::RunCodec`]): sorted `Pre` postings, CSR offsets, and
 //! near-sequential node columns as delta + varint, high-entropy symbol
 //! columns bitpacked to the width of their largest value — whichever is
-//! smaller per run, the choice tagged in the stream and summarized per
-//! segment in the directory (`u8` codec masks). Only `f64` payloads and
-//! the symbol heap's string blob stay raw. This is what turns a snapshot
-//! ~2.5× the source XML into one smaller than it.
+//! smaller per run, the choice tagged in the stream. Only `f64` payloads
+//! and the symbol heap's string blob stay raw.
 //!
 //! ## Determinism
 //!
@@ -45,47 +47,46 @@
 //! which is what the committed golden fixture in CI leans on to detect
 //! accidental format changes.
 
-use crate::bytes::{ByteWriter, RunCodec, SliceReader};
+use crate::bytes::{ByteWriter, SliceReader};
+use crate::crc::crc32c;
 use crate::error::{Result, StorageError};
-use crate::file::{read_header_payload, FileManager};
-use crate::page::{encode_page, DEFAULT_PAGE_SIZE, MIN_PAGE_SIZE, PAGE_HEADER};
+use crate::file::{read_at, FileManager};
+use crate::recovery::publish;
+use crate::wal::StdWalIo;
 use parking_lot::RwLock;
 use rox_index::{DocIndexes, DocSource, ElementIndex, IndexedStore, SymbolTable, ValueIndex};
 use rox_xmldb::{Catalog, DocId, Document, Interner, NodeKind, Pre, Symbol};
 use std::collections::HashSet;
 use std::fs::File;
-use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// File magic of a snapshot header page payload.
+/// File magic at the start of a snapshot header.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ROXSNAP1";
 
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
-/// Bytes of the header page payload: magic 8 · version 4 · page_size 4 ·
-/// page_count 4 · symbols first_page 4 + len 8 · directory first_page 4 +
-/// len 8.
-const HEADER_LEN: usize = 44;
+/// Bytes of the header: magic 8 · version 4 · file length 8 · symbols
+/// and directory locations 20 each · header CRC 4.
+const HEADER_LEN: usize = 64;
 
 /// What one [`Snapshot::save`] wrote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SaveReport {
     /// Documents persisted.
     pub docs: usize,
-    /// Total pages written, including the header page.
+    /// Segments written: the symbol heap, the directory, and two per
+    /// document.
     pub pages: u32,
     /// Total file size in bytes.
     pub file_bytes: u64,
-    /// Page size used.
-    pub page_size: usize,
-    /// Logical segment bytes actually written (compressed).
+    /// Segment bytes written (compressed), the header excluded.
     pub payload_bytes: u64,
     /// What the segments would have occupied with raw 4-byte columns
     /// (the v1 format) — `payload_bytes / raw_payload_bytes` is the
-    /// compression ratio before page framing.
+    /// compression ratio.
     pub raw_payload_bytes: u64,
     /// Fsyncs issued to make the save durable: the file itself plus its
     /// parent directory (a file fsync alone does not persist the new
@@ -93,117 +94,42 @@ pub struct SaveReport {
     pub fsyncs: u32,
 }
 
-/// Location of one segment: first page and logical byte length.
+/// Where one segment lives and what it must checksum to.
 #[derive(Debug, Clone, Copy)]
 struct SegmentLoc {
-    first_page: u32,
+    offset: u64,
     len: u64,
+    crc: u32,
 }
 
-/// Read segment `loc` whole, adding the pages it occupies to `pages_read`.
-fn read_segment(file: &FileManager, pages_read: &AtomicU64, loc: SegmentLoc) -> Result<Vec<u8>> {
-    let bytes = file.read_segment(loc.first_page, loc.len)?;
-    pages_read.fetch_add(
-        loc.len.div_ceil(file.payload_per_page() as u64),
-        Ordering::Relaxed,
-    );
+impl SegmentLoc {
+    fn put(self, w: &mut ByteWriter) {
+        w.put_u64(self.offset);
+        w.put_u64(self.len);
+        w.put_u32(self.crc);
+    }
+
+    fn get(r: &mut SliceReader) -> Result<SegmentLoc> {
+        Ok(SegmentLoc {
+            offset: r.get_u64()?,
+            len: r.get_u64()?,
+            crc: r.get_u32()?,
+        })
+    }
+}
+
+/// Read segment `loc` whole and count it in `segments_read`.
+fn read_segment(file: &FileManager, segments_read: &AtomicU64, loc: SegmentLoc) -> Result<Vec<u8>> {
+    let bytes = file.read_segment(loc.offset, loc.len, loc.crc)?;
+    segments_read.fetch_add(1, Ordering::Relaxed);
     Ok(bytes)
 }
 
-/// One directory entry: where a document and its indices live, plus the
-/// [`RunCodec`] mask each segment's packed runs used.
+/// One directory entry: where a document and its indices live.
 struct DocEntry {
     uri: String,
     doc_seg: SegmentLoc,
-    doc_mask: u8,
     index_seg: SegmentLoc,
-    index_mask: u8,
-}
-
-/// A fully encoded snapshot, not yet written anywhere: the header page
-/// payload, every segment tagged with its first page, and the report the
-/// writer will finish (its `fsyncs` field is the writer's to fill).
-struct EncodedSnapshot {
-    header: Vec<u8>,
-    segments: Vec<(u32, Vec<u8>)>,
-    report: SaveReport,
-}
-
-/// Encode every document of `store`'s catalog (plus indices) into page-
-/// aligned segments and the header payload, in deterministic id order.
-fn encode_snapshot(store: &IndexedStore, page_size: usize) -> EncodedSnapshot {
-    assert!(
-        page_size >= MIN_PAGE_SIZE,
-        "page size {page_size} below minimum {MIN_PAGE_SIZE}"
-    );
-    let catalog = store.catalog();
-    let payload_per_page = page_size - PAGE_HEADER;
-    let pages_of = |len: u64| -> u32 { (len.div_ceil(payload_per_page as u64)) as u32 };
-
-    let mut next_page = 1u32; // page 0 is the header
-    let mut entries = Vec::new();
-    let mut segments: Vec<(u32, Vec<u8>)> = Vec::new();
-    let mut payload_bytes = 0u64;
-    let mut raw_payload_bytes = 0u64;
-    let mut place = |w: ByteWriter, next_page: &mut u32| -> (SegmentLoc, u8) {
-        let mask = w.codec_mask();
-        payload_bytes += w.len() as u64;
-        raw_payload_bytes += w.raw_len();
-        let bytes = w.into_bytes();
-        let loc = SegmentLoc {
-            first_page: *next_page,
-            len: bytes.len() as u64,
-        };
-        *next_page += pages_of(bytes.len() as u64);
-        segments.push((loc.first_page, bytes));
-        (loc, mask)
-    };
-    for id in catalog.doc_ids() {
-        let doc = store.doc(id);
-        let indexes = store.indexes(id);
-        let (doc_seg, doc_mask) = place(encode_document(&doc), &mut next_page);
-        let (index_seg, index_mask) = place(encode_indexes(&indexes), &mut next_page);
-        entries.push(DocEntry {
-            uri: doc.uri().to_string(),
-            doc_seg,
-            doc_mask,
-            index_seg,
-            index_mask,
-        });
-    }
-
-    // Symbol heap after all documents/indices are encoded, so every
-    // symbol they reference is present.
-    let (symbols_seg, _) = place(encode_symbols(catalog.interner()), &mut next_page);
-    let (dir_seg, _) = place(encode_directory(&entries), &mut next_page);
-    let page_count = next_page;
-
-    let mut h = ByteWriter::new();
-    h.put_u8(SNAPSHOT_MAGIC[0]);
-    for &b in &SNAPSHOT_MAGIC[1..] {
-        h.put_u8(b);
-    }
-    h.put_u32(SNAPSHOT_VERSION);
-    h.put_u32(page_size as u32);
-    h.put_u32(page_count);
-    h.put_u32(symbols_seg.first_page);
-    h.put_u64(symbols_seg.len);
-    h.put_u32(dir_seg.first_page);
-    h.put_u64(dir_seg.len);
-
-    EncodedSnapshot {
-        header: h.into_bytes(),
-        segments,
-        report: SaveReport {
-            docs: entries.len(),
-            pages: page_count,
-            file_bytes: page_count as u64 * page_size as u64,
-            page_size,
-            payload_bytes,
-            raw_payload_bytes,
-            fsyncs: 0,
-        },
-    }
 }
 
 /// Namespace for snapshot save/open.
@@ -211,65 +137,74 @@ pub struct Snapshot;
 
 impl Snapshot {
     /// Persist every document of `store`'s catalog (plus its element and
-    /// value indices, building any that are missing) to a page file at
-    /// `path`, using [`DEFAULT_PAGE_SIZE`] pages.
+    /// value indices, building any that are missing) to `path`, through
+    /// the same tmp-write → verify → rename → dir-fsync sequence a
+    /// checkpoint uses.
     pub fn save(path: &Path, store: &IndexedStore) -> Result<SaveReport> {
-        Self::save_with_page_size(path, store, DEFAULT_PAGE_SIZE)
-    }
-
-    /// As [`Snapshot::save`] with an explicit page size (tests use tiny
-    /// pages to force multi-page segments).
-    pub fn save_with_page_size(
-        path: &Path,
-        store: &IndexedStore,
-        page_size: usize,
-    ) -> Result<SaveReport> {
-        let enc = encode_snapshot(store, page_size);
-        let payload_per_page = page_size - PAGE_HEADER;
-
-        // Write: zeroed header placeholder, then segment pages, then the
-        // real header — a torn save never validates.
-        let mut file = File::create(path)?;
-        file.write_all(&vec![0u8; page_size])?;
-        for (first_page, bytes) in &enc.segments {
-            if bytes.is_empty() {
-                continue;
-            }
-            for (i, chunk) in bytes.chunks(payload_per_page).enumerate() {
-                file.write_all(&encode_page(first_page + i as u32, chunk, page_size))?;
-            }
-        }
-        file.seek(SeekFrom::Start(0))?;
-        file.write_all(&encode_page(0, &enc.header, page_size))?;
-        file.sync_all()?;
-        // The file's durability is not the save's durability: its
-        // *directory entry* lives in the parent directory's data, which
-        // needs its own fsync to survive power failure.
-        crate::file::sync_parent_dir(path)?;
-        let mut report = enc.report;
+        let (image, mut report) = Self::encode_image(store);
+        let dir = path
+            .parent()
+            .filter(|d| !d.as_os_str().is_empty())
+            .unwrap_or(Path::new("."));
+        publish(dir, path, &image, &StdWalIo)?;
         report.fsyncs = 2;
         Ok(report)
     }
 
-    /// Encode the whole snapshot as one contiguous page-file image
-    /// (header page first). The checkpoint path writes this image to a
-    /// temporary file and renames it into place — atomicity comes from
-    /// the rename, not from header-last ordering, so the header can lead.
-    pub fn encode_image(store: &IndexedStore, page_size: usize) -> (Vec<u8>, SaveReport) {
-        let enc = encode_snapshot(store, page_size);
-        let payload_per_page = page_size - PAGE_HEADER;
-        let mut image = Vec::with_capacity(enc.report.file_bytes as usize);
-        image.extend_from_slice(&encode_page(0, &enc.header, page_size));
-        for (first_page, bytes) in &enc.segments {
-            if bytes.is_empty() {
-                continue;
-            }
-            for (i, chunk) in bytes.chunks(payload_per_page).enumerate() {
-                image.extend_from_slice(&encode_page(first_page + i as u32, chunk, page_size));
-            }
+    /// Encode the whole snapshot of `store` as one contiguous file image,
+    /// in deterministic id order; the report's `fsyncs` is the writer's
+    /// to fill.
+    pub fn encode_image(store: &IndexedStore) -> (Vec<u8>, SaveReport) {
+        let catalog = store.catalog();
+        let mut image = vec![0u8; HEADER_LEN];
+        let mut raw_payload_bytes = 0u64;
+        let mut place = |w: ByteWriter| -> SegmentLoc {
+            raw_payload_bytes += w.raw_len();
+            let bytes = w.into_bytes();
+            let loc = SegmentLoc {
+                offset: image.len() as u64,
+                len: bytes.len() as u64,
+                crc: crc32c(&bytes),
+            };
+            image.extend_from_slice(&bytes);
+            loc
+        };
+        let mut entries = Vec::new();
+        for id in catalog.doc_ids() {
+            let doc = store.doc(id);
+            let indexes = store.indexes(id);
+            entries.push(DocEntry {
+                uri: doc.uri().to_string(),
+                doc_seg: place(encode_document(&doc)),
+                index_seg: place(encode_indexes(&indexes)),
+            });
         }
-        debug_assert_eq!(image.len() as u64, enc.report.file_bytes);
-        (image, enc.report)
+        // Symbol heap after all documents/indices are encoded, so every
+        // symbol they reference is present.
+        let symbols_seg = place(encode_symbols(catalog.interner()));
+        let dir_seg = place(encode_directory(&entries));
+
+        let mut h = ByteWriter::new();
+        for b in SNAPSHOT_MAGIC {
+            h.put_u8(b);
+        }
+        h.put_u32(SNAPSHOT_VERSION);
+        h.put_u64(image.len() as u64);
+        symbols_seg.put(&mut h);
+        dir_seg.put(&mut h);
+        let mut header = h.into_bytes();
+        header.extend_from_slice(&crc32c(&header).to_le_bytes());
+        image[..HEADER_LEN].copy_from_slice(&header);
+
+        let report = SaveReport {
+            docs: entries.len(),
+            pages: 2 + 2 * entries.len() as u32,
+            file_bytes: image.len() as u64,
+            payload_bytes: (image.len() - HEADER_LEN) as u64,
+            raw_payload_bytes,
+            fsyncs: 0,
+        };
+        (image, report)
     }
 
     /// Open the snapshot at `path`: validate the header, restore the
@@ -282,54 +217,27 @@ impl Snapshot {
         path: &Path,
         _frames: Option<usize>,
     ) -> Result<(Arc<Catalog>, Arc<SnapshotSource>)> {
-        let (file, header) = read_header_payload(path)?;
-        let bad = |reason: String| StorageError::Format(reason);
-        if header.len() < HEADER_LEN {
-            return Err(bad(format!(
-                "header payload too short: {} bytes",
-                header.len()
-            )));
-        }
-        if header[..8] != SNAPSHOT_MAGIC {
-            return Err(bad("not a ROX snapshot (bad magic)".to_string()));
-        }
-        let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().unwrap());
-        let long = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().unwrap());
-        let version = word(8);
-        if version != SNAPSHOT_VERSION {
-            return Err(bad(format!(
-                "unsupported snapshot version {version} (expected {SNAPSHOT_VERSION})"
-            )));
-        }
-        let page_size = word(12) as usize;
-        if page_size < MIN_PAGE_SIZE {
-            return Err(bad(format!("implausible page size {page_size}")));
-        }
-        let page_count = word(16);
-        let symbols_seg = SegmentLoc {
-            first_page: word(20),
-            len: long(24),
-        };
-        let dir_seg = SegmentLoc {
-            first_page: word(32),
-            len: long(36),
-        };
-        let file = FileManager::new(file, page_size, page_count);
-        let pages_read = AtomicU64::new(0);
+        let file = File::open(path)?;
+        let file_len = file.metadata()?.len();
+        let mut head = vec![0u8; file_len.min(HEADER_LEN as u64) as usize];
+        read_at(&file, &mut head, 0)?;
+        let (symbols_seg, dir_seg) = decode_header(&head, file_len)?;
+        let file = FileManager::new(file, file_len);
+        let segments_read = AtomicU64::new(0);
 
         let interner = {
-            let bytes = read_segment(&file, &pages_read, symbols_seg)?;
+            let bytes = read_segment(&file, &segments_read, symbols_seg)?;
             Arc::new(decode_symbols(&mut SliceReader::new(&bytes))?)
         };
         let dir = {
-            let bytes = read_segment(&file, &pages_read, dir_seg)?;
+            let bytes = read_segment(&file, &segments_read, dir_seg)?;
             decode_directory(&mut SliceReader::new(&bytes))?
         };
         let catalog = Arc::new(Catalog::with_interner(Arc::clone(&interner)));
         for (i, entry) in dir.iter().enumerate() {
             let id = catalog.reserve(&entry.uri);
             if id.index() != i {
-                return Err(bad(format!(
+                return Err(StorageError::Format(format!(
                     "duplicate URI {:?} in snapshot directory",
                     entry.uri
                 )));
@@ -337,7 +245,7 @@ impl Snapshot {
         }
         let source = Arc::new(SnapshotSource {
             file,
-            pages_read,
+            segments_read,
             dir,
             interner,
             stale: RwLock::new(HashSet::new()),
@@ -346,10 +254,54 @@ impl Snapshot {
     }
 }
 
-/// Page-read counters of one open snapshot.
+/// Validate the first `HEADER_LEN` bytes (fewer if the file is shorter)
+/// of a `file_len`-byte file and return the symbol-heap and directory
+/// locations.
+fn decode_header(head: &[u8], file_len: u64) -> Result<(SegmentLoc, SegmentLoc)> {
+    let bad = |reason: String| Err(StorageError::Format(reason));
+    let unsupported = |version: u32| {
+        bad(format!(
+            "unsupported snapshot version {version} (expected {SNAPSHOT_VERSION})"
+        ))
+    };
+    // v1 and v2 files are page files: a 16-byte `RXPG` page header, then
+    // the header payload, whose version field follows its 8-byte magic.
+    if head.starts_with(b"RXPG") && head.len() >= 28 {
+        return unsupported(SliceReader::new(&head[24..]).get_u32()?);
+    }
+    if head.len() < HEADER_LEN {
+        return bad(format!(
+            "{file_len}-byte file is shorter than the {HEADER_LEN}-byte header"
+        ));
+    }
+    let (fields, stored) = head.split_at(HEADER_LEN - 4);
+    let mut r = SliceReader::new(fields);
+    if r.take(8)? != SNAPSHOT_MAGIC {
+        return bad("not a ROX snapshot (bad magic)".to_string());
+    }
+    if crc32c(fields) != SliceReader::new(stored).get_u32()? {
+        return Err(StorageError::Corrupt {
+            offset: 0,
+            reason: "header checksum mismatch".to_string(),
+        });
+    }
+    let version = r.get_u32()?;
+    if version != SNAPSHOT_VERSION {
+        return unsupported(version);
+    }
+    let recorded = r.get_u64()?;
+    if recorded != file_len {
+        return bad(format!(
+            "header records a {recorded}-byte file, {file_len} bytes on disk"
+        ));
+    }
+    Ok((SegmentLoc::get(&mut r)?, SegmentLoc::get(&mut r)?))
+}
+
+/// Segment-read counters of one open snapshot.
 ///
 /// A vestige of the deleted buffer pool, retained only because the frozen
-/// `benchmark/` reads it: `misses` counts pages read from the file and
+/// `benchmark/` reads it: `misses` counts segments read from the file and
 /// every other field is constantly 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
@@ -359,7 +311,7 @@ pub struct PoolStats {
     pub resident: u64,
     /// Always 0.
     pub hits: u64,
-    /// Pages read from the file.
+    /// Segments read from the file.
     pub misses: u64,
     /// Always 0.
     pub evictions: u64,
@@ -382,8 +334,8 @@ pub struct PoolStats {
 /// [`IndexedStore::with_source`] store resolves first touches here.
 pub struct SnapshotSource {
     file: FileManager,
-    /// Pages read from the file so far, the open included.
-    pages_read: AtomicU64,
+    /// Segments read from the file so far, the open included.
+    segments_read: AtomicU64,
     dir: Vec<DocEntry>,
     interner: Arc<Interner>,
     /// Documents whose live copy diverged from the stored one: their
@@ -397,20 +349,16 @@ impl SnapshotSource {
         self.dir.len()
     }
 
-    /// Total pages in the snapshot file.
-    pub fn page_count(&self) -> u32 {
-        self.file.page_count()
+    /// Segments in the snapshot file: the symbol heap, the directory, and
+    /// two per document.
+    pub fn segment_count(&self) -> u64 {
+        2 + 2 * self.dir.len() as u64
     }
 
-    /// Page size of the snapshot file.
-    pub fn page_size(&self) -> usize {
-        self.file.page_size()
-    }
-
-    /// Pages read from the file so far, as [`PoolStats::misses`].
+    /// Segments read from the file so far, as [`PoolStats::misses`].
     pub fn pool_stats(&self) -> PoolStats {
         PoolStats {
-            misses: self.pages_read.load(Ordering::Relaxed),
+            misses: self.segments_read.load(Ordering::Relaxed),
             ..PoolStats::default()
         }
     }
@@ -421,7 +369,7 @@ impl SnapshotSource {
         let Some(entry) = self.dir.get(id.index()) else {
             return Ok(None);
         };
-        let bytes = read_segment(&self.file, &self.pages_read, entry.doc_seg)?;
+        let bytes = read_segment(&self.file, &self.segments_read, entry.doc_seg)?;
         let mut r = SliceReader::new(&bytes);
         let doc = decode_document(&mut r, id, &entry.uri, &self.interner)?;
         Ok(Some(Arc::new(doc)))
@@ -436,7 +384,7 @@ impl SnapshotSource {
         let Some(entry) = self.dir.get(id.index()) else {
             return Ok(None);
         };
-        let bytes = read_segment(&self.file, &self.pages_read, entry.index_seg)?;
+        let bytes = read_segment(&self.file, &self.segments_read, entry.index_seg)?;
         let indexes = decode_indexes(&mut SliceReader::new(&bytes))?;
         // Re-check staleness after the decode: an invalidation that raced
         // the decode must win, never the stale indices.
@@ -446,30 +394,9 @@ impl SnapshotSource {
         Ok(Some(Arc::new(indexes)))
     }
 
-    /// Per-segment codec choices, in directory order: segment name
-    /// (`uri#doc` / `uri#index`) and the [`RunCodec`]s its packed runs
-    /// used.
-    pub fn segment_codecs(&self) -> Vec<(String, Vec<RunCodec>)> {
-        let mut out = Vec::with_capacity(self.dir.len() * 2);
-        for e in &self.dir {
-            out.push((format!("{}#doc", e.uri), RunCodec::from_mask(e.doc_mask)));
-            out.push((
-                format!("{}#index", e.uri),
-                RunCodec::from_mask(e.index_mask),
-            ));
-        }
-        out
-    }
-
     /// Documents currently marked stale.
     pub fn stale_count(&self) -> usize {
         self.stale.read().len()
-    }
-
-    /// Has `id` been marked stale? A stale document's only current copy
-    /// is the live resident one — residency sweeps must not evict it.
-    pub fn is_stale(&self, id: DocId) -> bool {
-        self.stale.read().contains(&id)
     }
 }
 
@@ -707,12 +634,8 @@ fn encode_directory(entries: &[DocEntry]) -> ByteWriter {
     w.put_u32(entries.len() as u32);
     for e in entries {
         w.put_str(&e.uri);
-        w.put_u32(e.doc_seg.first_page);
-        w.put_u64(e.doc_seg.len);
-        w.put_u8(e.doc_mask);
-        w.put_u32(e.index_seg.first_page);
-        w.put_u64(e.index_seg.len);
-        w.put_u8(e.index_mask);
+        e.doc_seg.put(&mut w);
+        e.index_seg.put(&mut w);
     }
     w
 }
@@ -721,23 +644,10 @@ fn decode_directory(r: &mut SliceReader) -> Result<Vec<DocEntry>> {
     let count = r.get_u32()? as usize;
     let mut entries = Vec::with_capacity(count.min(1 << 16));
     for _ in 0..count {
-        let uri = r.get_str()?;
-        let doc_seg = SegmentLoc {
-            first_page: r.get_u32()?,
-            len: r.get_u64()?,
-        };
-        let doc_mask = r.get_u8()?;
-        let index_seg = SegmentLoc {
-            first_page: r.get_u32()?,
-            len: r.get_u64()?,
-        };
-        let index_mask = r.get_u8()?;
         entries.push(DocEntry {
-            uri,
-            doc_seg,
-            doc_mask,
-            index_seg,
-            index_mask,
+            uri: r.get_str()?,
+            doc_seg: SegmentLoc::get(r)?,
+            index_seg: SegmentLoc::get(r)?,
         });
     }
     Ok(entries)
@@ -767,16 +677,29 @@ mod tests {
         IndexedStore::new(cat)
     }
 
+    /// The bytes of segment `loc` inside `image`.
+    fn seg(image: &[u8], loc: SegmentLoc) -> &[u8] {
+        &image[loc.offset as usize..(loc.offset + loc.len) as usize]
+    }
+
     #[test]
     fn save_open_roundtrips_documents_and_indexes() {
         let path = temp_snapshot("roundtrip");
         let store = sample_store();
-        let report = Snapshot::save_with_page_size(&path, &store, 128).unwrap();
+        let report = Snapshot::save(&path, &store).unwrap();
         assert_eq!(report.docs, 2);
-        assert!(report.pages > 2);
+        assert_eq!(report.pages, 6, "symbols, directory, two per document");
+        assert_eq!(report.file_bytes, std::fs::metadata(&path).unwrap().len());
+        assert_eq!(report.file_bytes, HEADER_LEN as u64 + report.payload_bytes);
 
         let (catalog, source) = Snapshot::open(&path, None).unwrap();
         assert_eq!(source.doc_count(), 2);
+        assert_eq!(source.segment_count(), u64::from(report.pages));
+        assert_eq!(
+            source.pool_stats().misses,
+            2,
+            "open reads symbols + directory"
+        );
         assert_eq!(catalog.len(), 2);
         // Nothing resident yet: open is lazy.
         let id = catalog.resolve("auctions.xml").unwrap();
@@ -808,21 +731,14 @@ mod tests {
     fn packed_columns_shrink_and_decode_to_the_originals() {
         let path = temp_snapshot("packed");
         let store = sample_store();
-        let report = Snapshot::save_with_page_size(&path, &store, 128).unwrap();
+        let report = Snapshot::save(&path, &store).unwrap();
         assert!(
             report.payload_bytes < report.raw_payload_bytes,
             "packed segments must beat raw columns: {report:?}"
         );
 
-        let (catalog, source) = Snapshot::open(&path, None).unwrap();
-        // Every stored segment reports which codecs its runs used.
-        let codecs = source.segment_codecs();
-        assert_eq!(codecs.len(), 4);
-        assert!(codecs
-            .iter()
-            .any(|(name, cs)| name.ends_with("#doc") && !cs.is_empty()));
-
         // Both segments of every document decode to what was saved.
+        let (catalog, source) = Snapshot::open(&path, None).unwrap();
         assert_eq!(source.doc_count(), 2);
         for id in catalog.doc_ids() {
             let orig = store.doc(id);
@@ -831,11 +747,6 @@ mod tests {
             let idx = source.try_indexes(id).unwrap().expect("nothing stale");
             assert_eq!(idx.element.elements(), store.indexes(id).element.elements());
         }
-
-        // Stale documents come back without stored indices.
-        let id = catalog.resolve("tiny.xml").unwrap();
-        source.mark_stale(id);
-        assert!(source.try_indexes(id).unwrap().is_none());
         std::fs::remove_file(&path).ok();
     }
 
@@ -844,49 +755,134 @@ mod tests {
         let p1 = temp_snapshot("det1");
         let p2 = temp_snapshot("det2");
         let store = sample_store();
-        Snapshot::save_with_page_size(&p1, &store, 128).unwrap();
-        Snapshot::save_with_page_size(&p2, &store, 128).unwrap();
-        assert_eq!(std::fs::read(&p1).unwrap(), std::fs::read(&p2).unwrap());
+        Snapshot::save(&p1, &store).unwrap();
+        Snapshot::save(&p2, &store).unwrap();
+        let bytes = std::fs::read(&p1).unwrap();
+        assert_eq!(bytes, std::fs::read(&p2).unwrap());
+        assert_eq!(bytes, Snapshot::encode_image(&store).0, "one encoder");
         std::fs::remove_file(&p1).ok();
         std::fs::remove_file(&p2).ok();
     }
 
     #[test]
-    fn short_header_payloads_are_clean_errors() {
+    fn short_headers_are_clean_errors() {
         let path = temp_snapshot("shortheader");
-        let store = sample_store();
-        Snapshot::save_with_page_size(&path, &store, 128).unwrap();
-        let image = std::fs::read(&path).unwrap();
-        let header = crate::page::decode_page(0, &image[..128]).unwrap().to_vec();
-        assert_eq!(header.len(), HEADER_LEN);
-        // Every strict prefix, re-framed so page 0's checksum is valid:
-        // the length guard alone must reject it.
-        for len in 0..HEADER_LEN {
-            let mut cut = image.clone();
-            cut[..128].copy_from_slice(&encode_page(0, &header[..len], 128));
+        let (image, _) = Snapshot::encode_image(&sample_store());
+        // Every strict prefix of the checksummed header fields, and the
+        // whole header alone, each followed by its recomputed CRC: the
+        // length guards alone must reject them.
+        for len in 0..=HEADER_LEN - 4 {
+            let mut cut = image[..len].to_vec();
+            cut.extend_from_slice(&crc32c(&cut).to_le_bytes());
             std::fs::write(&path, &cut).unwrap();
             assert!(
                 matches!(Snapshot::open(&path, None), Err(StorageError::Format(_))),
-                "header payload of {len} bytes must be rejected"
+                "header of {len} bytes must be rejected"
             );
         }
         std::fs::remove_file(&path).ok();
     }
 
+    /// ROADMAP 3(b): every decoder sits behind `SliceReader::take`, so a
+    /// segment cut short anywhere is an error, never a panic or a
+    /// plausible half-decode.
     #[test]
-    fn corrupt_page_is_a_clean_error() {
+    fn every_prefix_of_every_segment_kind_is_a_clean_error() {
+        let (image, _) = Snapshot::encode_image(&sample_store());
+        let (symbols, dir) = decode_header(&image[..HEADER_LEN], image.len() as u64).unwrap();
+        let (symbols, dir) = (seg(&image, symbols), seg(&image, dir));
+        let interner = Arc::new(decode_symbols(&mut SliceReader::new(symbols)).unwrap());
+        let entries = decode_directory(&mut SliceReader::new(dir)).unwrap();
+        for len in 0..symbols.len() {
+            assert!(decode_symbols(&mut SliceReader::new(&symbols[..len])).is_err());
+        }
+        for len in 0..dir.len() {
+            assert!(decode_directory(&mut SliceReader::new(&dir[..len])).is_err());
+        }
+        for (i, e) in entries.iter().enumerate() {
+            let (doc, index) = (seg(&image, e.doc_seg), seg(&image, e.index_seg));
+            let id = DocId(i as u32);
+            for len in 0..doc.len() {
+                let mut r = SliceReader::new(&doc[..len]);
+                assert!(decode_document(&mut r, id, &e.uri, &interner).is_err());
+            }
+            for len in 0..index.len() {
+                assert!(decode_indexes(&mut SliceReader::new(&index[..len])).is_err());
+            }
+        }
+    }
+
+    /// Every byte of the file is covered by exactly one checksum: flip
+    /// any one of them and either the open fails (header, symbol heap,
+    /// directory) or exactly the segment holding that byte fails with
+    /// `Corrupt` naming it, while every other segment decodes
+    /// bit-identically.
+    #[test]
+    fn corruption_is_caught_or_harmless() {
+        let path = temp_snapshot("flip");
+        let store = sample_store();
+        let (image, _) = Snapshot::encode_image(&store);
+        std::fs::write(&path, &image).unwrap();
+        let (catalog, clean) = Snapshot::open(&path, None).unwrap();
+        let doc_bytes = |d: &Document| encode_document(d).into_bytes();
+        let index_bytes = |i: &DocIndexes| encode_indexes(i).into_bytes();
+        for pos in 0..image.len() {
+            let mut bytes = image.clone();
+            bytes[pos] ^= 0xFF;
+            std::fs::write(&path, &bytes).unwrap();
+            let holds =
+                |loc: SegmentLoc| (loc.offset..loc.offset + loc.len).contains(&(pos as u64));
+            let lazy = clean
+                .dir
+                .iter()
+                .any(|e| holds(e.doc_seg) || holds(e.index_seg));
+            let Ok((_, source)) = Snapshot::open(&path, None) else {
+                assert!(!lazy, "flip at {pos} in a lazy segment failed the open");
+                continue;
+            };
+            assert!(
+                lazy,
+                "flip at {pos} outside any lazy segment went unnoticed"
+            );
+            for id in catalog.doc_ids() {
+                let e = &clean.dir[id.index()];
+                match source.try_document(id) {
+                    Err(StorageError::Corrupt { offset, .. }) if holds(e.doc_seg) => {
+                        assert_eq!(offset, e.doc_seg.offset)
+                    }
+                    Ok(Some(d)) if !holds(e.doc_seg) => {
+                        assert_eq!(doc_bytes(&d), doc_bytes(&store.doc(id)))
+                    }
+                    other => panic!("flip at {pos}, document {id:?}: {:?}", other.err()),
+                }
+                match source.try_indexes(id) {
+                    Err(StorageError::Corrupt { offset, .. }) if holds(e.index_seg) => {
+                        assert_eq!(offset, e.index_seg.offset)
+                    }
+                    Ok(Some(i)) if !holds(e.index_seg) => {
+                        assert_eq!(index_bytes(&i), index_bytes(&store.indexes(id)))
+                    }
+                    other => panic!("flip at {pos}, indexes {id:?}: {:?}", other.err()),
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn corrupt_segment_is_a_clean_error() {
         let path = temp_snapshot("corrupt");
         let store = sample_store();
-        Snapshot::save_with_page_size(&path, &store, 128).unwrap();
-        // Flip a byte in the middle of page 1 (a document segment page).
+        Snapshot::save(&path, &store).unwrap();
+        // The first segment after the header is the first document's.
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[128 + 40] ^= 0xFF;
+        bytes[HEADER_LEN + 3] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         let (catalog, source) = Snapshot::open(&path, None).unwrap();
         let id = catalog.resolve("auctions.xml").unwrap();
         let err = source.try_document(id).unwrap_err();
         assert!(
-            matches!(err, StorageError::Corrupt { page: 1, .. }),
+            matches!(err, StorageError::Corrupt { offset, .. } if offset == HEADER_LEN as u64),
             "{err}"
         );
         std::fs::remove_file(&path).ok();
@@ -896,12 +892,15 @@ mod tests {
     fn truncated_file_is_a_clean_error() {
         let path = temp_snapshot("truncated");
         let store = sample_store();
-        let report = Snapshot::save_with_page_size(&path, &store, 128).unwrap();
+        Snapshot::save(&path, &store).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        // Drop the last page: the directory (written near the end) or a
-        // late segment becomes unreadable.
-        std::fs::write(&path, &bytes[..bytes.len() - report.page_size]).unwrap();
-        assert!(Snapshot::open(&path, None).is_err());
+        // One byte short: the length recorded in the header no longer
+        // matches, before any segment is read.
+        std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
+        assert!(matches!(
+            Snapshot::open(&path, None),
+            Err(StorageError::Format(_))
+        ));
         std::fs::remove_file(&path).ok();
     }
 
@@ -910,6 +909,8 @@ mod tests {
         let path = temp_snapshot("garbage");
         std::fs::write(&path, b"<site>this is xml, not a snapshot</site>").unwrap();
         assert!(Snapshot::open(&path, None).is_err());
+        std::fs::write(&path, [b'x'; HEADER_LEN * 2]).unwrap();
+        assert!(Snapshot::open(&path, None).is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -917,7 +918,7 @@ mod tests {
     fn stale_documents_never_serve_stored_indexes() {
         let path = temp_snapshot("stale");
         let store = sample_store();
-        Snapshot::save_with_page_size(&path, &store, 128).unwrap();
+        Snapshot::save(&path, &store).unwrap();
         let (catalog, source) = Snapshot::open(&path, None).unwrap();
         let id = catalog.resolve("tiny.xml").unwrap();
         source.mark_stale(id);

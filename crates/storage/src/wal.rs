@@ -34,9 +34,9 @@
 //! their LSN — N acknowledgements per fsync, not one.
 
 use crate::bytes::{ByteWriter, SliceReader};
+use crate::crc::crc32c;
 use crate::error::{Result, StorageError};
 use crate::file::retry_transient;
-use crate::page::crc32c;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;

@@ -20,10 +20,6 @@ use std::sync::Arc;
 const AUCTIONS: &str = r#"<site><open_auction id="a1"><bidder><increase>12</increase></bidder><bidder><increase>30.5</increase></bidder><current>150</current></open_auction><open_auction id="a2"><current>40</current></open_auction></site>"#;
 const PEOPLE: &str = r#"<people><person name="alice"><city>utrecht</city></person><person name="bob"><city>amsterdam</city></person></people>"#;
 
-/// Small pages so the golden file exercises multi-page segments while
-/// staying a few KiB in the repository.
-const GOLDEN_PAGE_SIZE: usize = 256;
-
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
@@ -45,7 +41,7 @@ fn golden_store() -> (Arc<Catalog>, IndexedStore) {
 fn current_code_writes_the_committed_golden_bytes() {
     let (_, store) = golden_store();
     let tmp = std::env::temp_dir().join(format!("rox-golden-{}.snap", std::process::id()));
-    Snapshot::save_with_page_size(&tmp, &store, GOLDEN_PAGE_SIZE).unwrap();
+    Snapshot::save(&tmp, &store).unwrap();
     let written = std::fs::read(&tmp).unwrap();
     std::fs::remove_file(&tmp).ok();
 
@@ -66,21 +62,24 @@ fn current_code_writes_the_committed_golden_bytes() {
     );
 }
 
-/// The v1 fixture is kept committed precisely so this guard can prove
-/// old-format files are *rejected with a version message*, never
+/// The v1 and v2 fixtures are kept committed precisely so this guard can
+/// prove old-format files are *rejected with a version message*, never
 /// silently misread as the current format.
 #[test]
 fn previous_format_version_is_rejected_clearly() {
-    let v1 = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/corpus-v1.snap");
-    let msg = match Snapshot::open(&v1, None) {
-        Ok(_) => panic!("v1 fixture must not open"),
-        Err(e) => e.to_string(),
-    };
-    assert!(
-        msg.contains("unsupported snapshot version 1")
-            && msg.contains(&format!("expected {SNAPSHOT_VERSION}")),
-        "unclear version-mismatch error: {msg}"
-    );
+    for old in 1..SNAPSHOT_VERSION {
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join(format!("tests/golden/corpus-v{old}.snap"));
+        let msg = match Snapshot::open(&path, None) {
+            Ok(_) => panic!("v{old} fixture must not open"),
+            Err(e) => e.to_string(),
+        };
+        assert!(
+            msg.contains(&format!("unsupported snapshot version {old}"))
+                && msg.contains(&format!("expected {SNAPSHOT_VERSION}")),
+            "unclear version-mismatch error: {msg}"
+        );
+    }
 }
 
 #[test]

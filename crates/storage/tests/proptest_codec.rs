@@ -3,15 +3,14 @@
 //! canonically (the save→open→save fixed point depends on it), and any
 //! truncation or corruption of a packed payload must surface as a clean
 //! [`rox_storage::StorageError`] or a well-formed decode — never a panic.
-//! End-to-end, a corrupted *page* under a packed run is always caught by
-//! the page checksum before the codec even sees the bytes.
+//! End-to-end, a corrupted byte anywhere in a segment holding a packed run
+//! is always caught by the segment checksum before the codec even sees
+//! the bytes.
 
 use proptest::prelude::*;
 use rox_storage::bytes::{pack_u32s, unpack_u32s, ByteWriter, RunCodec, SliceReader};
 use rox_storage::file::FileManager;
-use rox_storage::page::{encode_page, PAGE_HEADER};
-use rox_storage::StorageError;
-use std::io::Write;
+use rox_storage::{crc32c, StorageError};
 
 fn monotone() -> impl Strategy<Value = Vec<u32>> {
     // Sorted gaps: the delta+varint sweet spot (postings, CSR offsets).
@@ -28,29 +27,6 @@ fn monotone() -> impl Strategy<Value = Vec<u32>> {
 fn adversarial() -> impl Strategy<Value = Vec<u32>> {
     // Full-range, non-monotone values: worst case for deltas.
     prop::collection::vec(any::<u32>(), 0..300)
-}
-
-/// Write one packed run as a tiny-page segment file.
-fn packed_segment(tag: &str, vals: &[u32]) -> (std::path::PathBuf, FileManager, u64) {
-    let mut w = ByteWriter::new();
-    w.put_packed_u32s(vals);
-    let stream = w.into_bytes();
-    let path = std::env::temp_dir().join(format!(
-        "rox-prop-codec-{}-{tag}-{}.seg",
-        std::process::id(),
-        vals.len()
-    ));
-    let page_size = 64usize;
-    let payload = page_size - PAGE_HEADER;
-    let mut f = std::fs::File::create(&path).unwrap();
-    let mut pages = 0u32;
-    for chunk in stream.chunks(payload) {
-        f.write_all(&encode_page(pages, chunk, page_size)).unwrap();
-        pages += 1;
-    }
-    drop(f);
-    let fm = FileManager::new(std::fs::File::open(&path).unwrap(), page_size, pages.max(1));
-    (path, fm, stream.len() as u64)
 }
 
 proptest! {
@@ -90,7 +66,7 @@ proptest! {
     /// Flip one byte of the payload, or lie about codec or count: decode
     /// must never panic and never fabricate a run of the wrong length.
     /// (Silent *value* corruption at this layer is caught one level down
-    /// by the page checksum — see `corrupted_segment_pages_are_caught`.)
+    /// by the segment checksum — see `corrupted_segments_are_caught`.)
     #[test]
     fn corrupted_payloads_never_panic(
         vals in adversarial(),
@@ -111,36 +87,35 @@ proptest! {
         }
     }
 
-    /// End to end: corrupt any byte of a page file holding a packed run
-    /// and the segment read fails with a checksum error before the codec
-    /// can decode wrong bits.
+    /// End to end: corrupt any byte of a segment holding a packed run
+    /// and the segment read fails with a checksum error naming it, before
+    /// the codec can decode wrong bits.
     #[test]
-    fn corrupted_segment_pages_are_caught(
+    fn corrupted_segments_are_caught(
         vals in prop::collection::vec(any::<u32>(), 1..200),
         pos_seed in any::<u64>(),
         xor in 1u8..=255,
     ) {
-        let (path, fm, len) = packed_segment("corrupt", &vals);
-        drop(fm);
-        let mut bytes = std::fs::read(&path).unwrap();
+        let mut w = ByteWriter::new();
+        w.put_packed_u32s(&vals);
+        let mut bytes = w.into_bytes();
+        let crc = crc32c(&bytes);
+        let path = std::env::temp_dir().join(format!(
+            "rox-prop-codec-{}-{}.seg",
+            std::process::id(),
+            vals.len()
+        ));
         let pos = (pos_seed % bytes.len() as u64) as usize;
         bytes[pos] ^= xor;
         std::fs::write(&path, &bytes).unwrap();
-        let fm = FileManager::new(
-            std::fs::File::open(&path).unwrap(),
-            64,
-            (bytes.len() / 64) as u32,
-        );
+        let fm = FileManager::new(std::fs::File::open(&path).unwrap(), bytes.len() as u64);
         let decoded = fm
-            .read_segment(0, len)
+            .read_segment(0, bytes.len() as u64, crc)
             .and_then(|bytes| SliceReader::new(&bytes).get_packed_u32s(vals.len()));
-        match decoded {
-            // A flip in a page's zero padding is invisible (checksums
-            // cover payloads); the decode must then be bit-identical.
-            Ok(decoded) => prop_assert_eq!(decoded, vals),
-            Err(StorageError::Corrupt { .. }) | Err(StorageError::Format(_)) => {}
-            Err(e) => prop_assert!(false, "unexpected error kind: {e}"),
-        }
+        prop_assert!(
+            matches!(decoded, Err(StorageError::Corrupt { offset: 0, .. })),
+            "flip at {} not caught: {:?}", pos, decoded
+        );
         std::fs::remove_file(&path).ok();
     }
 }

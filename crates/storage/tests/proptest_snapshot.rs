@@ -1,14 +1,14 @@
 //! Property tests for the snapshot format: arbitrary catalogs must
 //! round-trip bit-identically through save → open (documents, interner
 //! symbols, and index segments — the latter pinned by re-saving the
-//! decoded store and comparing files byte-for-byte), under any page
-//! size; and any single-byte corruption or truncation
-//! must surface as a clean [`StorageError`] or leave the decoded bits
-//! untouched — never silently wrong data.
+//! decoded store and comparing files byte-for-byte), reading each segment
+//! exactly once; and any truncation or extension of the file must fail
+//! the open. (Single-byte corruption is pinned over every byte in
+//! `snapshot.rs`'s `corruption_is_caught_or_harmless`.)
 
 use proptest::prelude::*;
 use rox_index::IndexedStore;
-use rox_storage::Snapshot;
+use rox_storage::{Snapshot, StorageError};
 use rox_xmldb::Catalog;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -148,11 +148,10 @@ proptest! {
     /// save → open → save is a fixed point: the second file is
     /// byte-for-byte the first. Because the second save re-encodes the
     /// *decoded* documents, symbols and indexes, equality proves every
-    /// segment round-trips bit-identically — at any page size.
+    /// segment round-trips bit-identically.
     #[test]
     fn save_open_save_is_byte_identical(
         docs in prop::collection::vec(doc_strategy(), 1..4),
-        page_size in prop::sample::select(vec![64usize, 96, 256, 1024, 4096]),
     ) {
         let (p1, p2) = (case_path("a"), case_path("b"));
         let catalog = build_catalog(&docs);
@@ -161,7 +160,7 @@ proptest! {
         for id in catalog.doc_ids() {
             store.indexes(id);
         }
-        Snapshot::save_with_page_size(&p1, &store, page_size).unwrap();
+        Snapshot::save(&p1, &store).unwrap();
 
         let (reopened, source) = Snapshot::open(&p1, None).unwrap();
         assert_catalogs_bit_identical(&catalog, &reopened, &source);
@@ -174,7 +173,7 @@ proptest! {
             store2.indexes(id);
         }
         prop_assert_eq!(store2.build_count(), 0, "reopen rebuilt indexes");
-        Snapshot::save_with_page_size(&p2, &store2, page_size).unwrap();
+        Snapshot::save(&p2, &store2).unwrap();
 
         let (b1, b2) = (std::fs::read(&p1).unwrap(), std::fs::read(&p2).unwrap());
         prop_assert_eq!(b1, b2, "resave diverged from the original file");
@@ -182,87 +181,47 @@ proptest! {
         std::fs::remove_file(&p2).ok();
     }
 
-    /// Whatever page size splits the segments, a full decode yields the
-    /// same bits and reads every page but the header exactly once.
+    /// A full decode yields the same bits and reads every segment exactly
+    /// once: the open reads the symbol heap and the directory, each
+    /// document and index set one more segment apiece.
     #[test]
-    fn any_page_size_decodes_identically(
+    fn full_decode_reads_each_segment_once(
         docs in prop::collection::vec(doc_strategy(), 1..4),
-        page_size in prop::sample::select(vec![64usize, 128, 512]),
     ) {
-        let path = case_path("pagesize");
+        let path = case_path("once");
         let catalog = build_catalog(&docs);
         let store = IndexedStore::new(Arc::clone(&catalog));
-        let report = Snapshot::save_with_page_size(&path, &store, page_size).unwrap();
+        let report = Snapshot::save(&path, &store).unwrap();
         let (reopened, source) = Snapshot::open(&path, None).unwrap();
+        prop_assert_eq!(source.pool_stats().misses, 2);
         assert_catalogs_bit_identical(&catalog, &reopened, &source);
         for id in reopened.doc_ids() {
             prop_assert!(source.try_indexes(id).unwrap().is_some());
         }
-        prop_assert_eq!(source.pool_stats().misses, u64::from(report.pages) - 1);
+        prop_assert_eq!(source.pool_stats().misses, u64::from(report.pages));
         std::fs::remove_file(&path).ok();
     }
 
-    /// Flip one byte anywhere in the file: every decode path either
-    /// returns a clean error or the original bits. A flip in a page's
-    /// zero padding is invisible (checksums cover payloads); a flip
-    /// anywhere else must be caught — never silently wrong data.
-    #[test]
-    fn corruption_is_caught_or_harmless(
-        docs in prop::collection::vec(doc_strategy(), 1..3),
-        pos_seed in any::<u64>(),
-        xor in 1u8..=255,
-    ) {
-        let path = case_path("corrupt");
-        let catalog = build_catalog(&docs);
-        let store = IndexedStore::new(Arc::clone(&catalog));
-        Snapshot::save_with_page_size(&path, &store, 64).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let pos = (pos_seed % bytes.len() as u64) as usize;
-        bytes[pos] ^= xor;
-        std::fs::write(&path, &bytes).unwrap();
-
-        if let Ok((reopened, source)) = Snapshot::open(&path, None) {
-            for id in reopened.doc_ids() {
-                let Ok(Some(got)) = source.try_document(id) else {
-                    continue; // clean error (or absent): corruption caught
-                };
-                let expect = catalog.doc(id);
-                let (ce, cg) = (expect.columns(), got.columns());
-                prop_assert_eq!(ce.size, cg.size, "corrupt decode served wrong bits");
-                prop_assert_eq!(ce.name, cg.name, "corrupt decode served wrong bits");
-                prop_assert_eq!(ce.value, cg.value, "corrupt decode served wrong bits");
-                let _ = source.try_indexes(id); // must not panic either way
-            }
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// Truncate the file at any length: open or decode fails cleanly, or
-    /// whatever still decodes matches the original.
+    /// The header records the file's length: every strict prefix of the
+    /// file, and the file plus one appended byte, fail at open with a
+    /// format error, before any segment is read.
     #[test]
     fn truncation_is_a_clean_error(
         docs in prop::collection::vec(doc_strategy(), 1..3),
-        keep_seed in any::<u64>(),
     ) {
         let path = case_path("trunc");
         let catalog = build_catalog(&docs);
         let store = IndexedStore::new(Arc::clone(&catalog));
-        Snapshot::save_with_page_size(&path, &store, 64).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let keep = (keep_seed % bytes.len() as u64) as usize;
-        std::fs::write(&path, &bytes[..keep]).unwrap();
-
-        if let Ok((reopened, source)) = Snapshot::open(&path, None) {
-            for id in reopened.doc_ids() {
-                if let Ok(Some(got)) = source.try_document(id) {
-                    let expect = catalog.doc(id);
-                    prop_assert_eq!(
-                        expect.columns().value,
-                        got.columns().value,
-                        "truncated decode served wrong bits"
-                    );
-                }
-            }
+        let mut image = Snapshot::encode_image(&store).0;
+        image.push(0);
+        std::fs::write(&path, &image).unwrap();
+        let rejected = || matches!(Snapshot::open(&path, None), Err(StorageError::Format(_)));
+        prop_assert!(rejected(), "appended byte");
+        // Cut the file down one byte at a time, in place.
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        for keep in (0..image.len() - 1).rev() {
+            file.set_len(keep as u64).unwrap();
+            prop_assert!(rejected(), "prefix of {} bytes", keep);
         }
         std::fs::remove_file(&path).ok();
     }

@@ -138,18 +138,6 @@ impl Catalog {
         }
     }
 
-    /// Drop the resident document at `id`, returning whether one was
-    /// resident. The reservation itself (id and URI) stays — a
-    /// snapshot-backed store faults the content back in on the next touch.
-    /// A no-op (returning `false`) for ids this catalog never issued.
-    pub fn evict(&self, id: DocId) -> bool {
-        let mut inner = self.inner.write();
-        match inner.docs.get_mut(id.index()) {
-            Some(slot) => slot.take().is_some(),
-            None => false,
-        }
-    }
-
     /// Builder bound to this catalog's interner; [`Catalog::insert`] the result.
     pub fn builder(&self, uri: &str) -> DocumentBuilder {
         DocumentBuilder::with_interner(uri, Arc::clone(&self.interner))
@@ -165,7 +153,7 @@ impl Catalog {
     /// # Panics
     /// Panics on an id not issued by this catalog, or on a reserved slot
     /// whose document is not resident (snapshot-backed access goes through
-    /// the index store, which faults pages in instead of calling this).
+    /// the index store, which faults segments in instead of calling this).
     pub fn doc(&self, id: DocId) -> Arc<Document> {
         self.inner.read().docs[id.index()]
             .clone()
@@ -322,24 +310,6 @@ mod tests {
         b2.end_element();
         let loser = cat.fill(id, Arc::new(b2.finish(DocId(0))));
         assert!(Arc::ptr_eq(&loser, &filled));
-    }
-
-    #[test]
-    fn evict_drops_residency_but_keeps_the_reservation() {
-        let cat = Catalog::new();
-        let id = cat.load_str("a.xml", "<a/>").unwrap();
-        assert!(cat.evict(id));
-        assert!(!cat.evict(id)); // already gone
-        assert_eq!(cat.resolve("a.xml"), Some(id));
-        assert!(cat.get(id).is_none());
-        // Refilling works like any reserved slot.
-        let mut b = cat.builder("a.xml");
-        b.start_element("a");
-        b.end_element();
-        cat.fill(id, Arc::new(b.finish(DocId(0))));
-        assert!(cat.get(id).is_some());
-        // Unknown ids are a no-op.
-        assert!(!cat.evict(DocId(99)));
     }
 
     #[test]

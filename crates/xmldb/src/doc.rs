@@ -266,7 +266,7 @@ impl Document {
     /// Reassemble a document from raw columns (the snapshot decode path).
     /// All columns must have equal length; symbols must belong to
     /// `interner`. The encoding invariants are *not* re-checked here —
-    /// storage validates page checksums instead, and
+    /// storage validates segment checksums instead, and
     /// [`Document::check_invariants`] stays available to callers that want
     /// the full structural audit.
     ///
