@@ -566,7 +566,8 @@ pub struct RoxEngine {
     snapshot: Option<Arc<SnapshotSource>>,
     /// The durable half, when [`RoxEngine::make_durable`] or
     /// [`RoxEngine::recover`] attached one: mutations append to its WAL
-    /// and are acknowledged only after the group fsync.
+    /// and are acknowledged only once their record and every earlier
+    /// one are fsynced.
     durable: RwLock<Option<Arc<DurableState>>>,
     /// Records [`RoxEngine::recover`] replayed to build this engine.
     wal_replayed: AtomicU64,
@@ -699,7 +700,8 @@ impl RoxEngine {
     }
 
     /// Attach a durable directory at `dir`: persist the current catalog
-    /// as `snapshot.rox`, start `wal.rox`, and from here on route every
+    /// as `snapshot.rox`, start the log's two lanes (`wal.rox`,
+    /// `wal.1.rox`), and from here on route every
     /// [`RoxEngine::invalidate_document`] / [`RoxEngine::reindex_document`]
     /// through the write-ahead log — each mutation is acknowledged only
     /// after its record is fsynced, and [`RoxEngine::recover`] on the
@@ -723,11 +725,11 @@ impl RoxEngine {
         // duplicate one already in the snapshot, which replay dedups).
         let symbols_logged = self.catalog().interner().len();
         let epochs = self.epoch_table();
-        let out = recovery::write_checkpoint(dir, &self.store, epochs, 1, &*io)?;
+        let out = recovery::write_checkpoint(dir, &self.store, epochs, 1, &*io, None)?;
         let state = DurableState {
             dir: dir.to_path_buf(),
             io,
-            wal: Wal::open(out.wal_file, 1, 1, out.wal_bytes),
+            wal: Wal::open_lanes(out.wal_files, 1, 1, out.wal_bytes),
             order: Mutex::new(DurableCursor { symbols_logged }),
         };
         *self.durable.write().expect("durable state") = Some(Arc::new(state));
@@ -740,7 +742,10 @@ impl RoxEngine {
     /// old generation is baked into the new snapshot). Runs the
     /// tmp-write → verify → rename → dir-fsync state machine of
     /// [`rox_storage::recovery::write_checkpoint`]; a crash anywhere in
-    /// it recovers. Errors if the engine has no durable directory.
+    /// it recovers. Errors if the engine has no durable directory. A
+    /// checkpoint that fails once it has started replacing the log files
+    /// leaves every later durable mutation erroring until
+    /// [`RoxEngine::recover`].
     pub fn checkpoint(&self) -> Result<SaveReport, StorageError> {
         let durable = self.durable.read().expect("durable state").clone();
         let Some(d) = durable else {
@@ -758,8 +763,9 @@ impl RoxEngine {
         let symbols_logged = self.catalog().interner().len();
         let epochs = self.epoch_table();
         let cp_lsn = d.wal.last_lsn() + 1;
-        let out = recovery::write_checkpoint(&d.dir, &self.store, epochs, cp_lsn, &*d.io)?;
-        d.wal.install_rotated(out.wal_file, cp_lsn, out.wal_bytes);
+        let out =
+            recovery::write_checkpoint(&d.dir, &self.store, epochs, cp_lsn, &*d.io, Some(&d.wal))?;
+        d.wal.install_rotated(out.wal_files, cp_lsn, out.wal_bytes);
         cur.symbols_logged = symbols_logged;
         Ok(out.report)
     }
@@ -1130,7 +1136,7 @@ impl RoxEngine {
     /// As [`RoxEngine::invalidate_document`], but on a durable engine
     /// the mutation is written ahead: an `epoch-bump` or
     /// `document-invalidate` record (the latter carrying the resident
-    /// content and the interner delta) is appended and group-fsynced
+    /// content and the interner delta) is appended and fsynced
     /// **before** any in-memory state changes beyond the epoch bump.
     /// Returns the record's LSN (`None` without a durable directory) —
     /// when this returns `Ok`, the mutation survives any crash.
@@ -1162,8 +1168,9 @@ impl RoxEngine {
             };
             d.wal.append(&record)?
         };
-        // The group fsync is the acknowledgement point: after this
-        // line the mutation is durable, whatever happens next.
+        // The commit is the acknowledgement point: after this line the
+        // mutation and every earlier one are durable, whatever happens
+        // next.
         d.wal.commit(lsn)?;
         self.finish_invalidate(uri);
         Ok(Some(lsn))

@@ -142,18 +142,20 @@ pub fn summarize(report: &RoxReport) -> String {
     )
 }
 
-/// One-paragraph durability summary: WAL traffic, group-commit
-/// batching, and the recovery replay, from [`crate::engine::EngineStats`].
+/// One-paragraph durability summary: WAL traffic over both lanes,
+/// acknowledgements per fsync, and the recovery replay, from
+/// [`crate::engine::EngineStats`].
 pub fn render_durability(stats: &crate::engine::EngineStats) -> String {
     let w = &stats.wal;
-    let batching = if w.fsyncs == 0 {
+    let acks_per_fsync = if w.fsyncs == 0 {
         0.0
     } else {
         w.commits as f64 / w.fsyncs as f64
     };
     format!(
-        "wal: {} records, {} bytes, lsn {} (durable {}); {} commits over \
-         {} fsyncs ({batching:.1} acks/fsync); {} records replayed at recovery",
+        "wal (both lanes): {} records, {} bytes, lsn {} (durable prefix {}); \
+         {} acked commits over {} fsyncs ({acks_per_fsync:.2} acks/fsync); \
+         {} records replayed at recovery",
         w.records, w.bytes, w.last_lsn, w.durable_lsn, w.commits, w.fsyncs, stats.wal_replayed,
     )
 }

@@ -14,11 +14,21 @@
 //!   indexes, symbols), and query outputs match row-for-row;
 //! * **liveness** — the recovered log accepts the next mutation at
 //!   `water mark + 1`.
+//!
+//! Across the suite, appends land on both of the log's lanes, and the
+//! two crash windows between a checkpoint's lane publishes are driven
+//! directly.
 
 use rox_core::{RoxEngine, RoxOptions};
-use rox_storage::{FailpointIo, FailpointState, FaultPlan, Lsn, StorageError, WalIo};
+use rox_storage::recovery::{WAL_FILE, WAL_LANES, WAL_LANE_FILES};
+use rox_storage::wal::{scan_wal, WalFile, WAL_HEADER};
+use rox_storage::{
+    FailpointIo, FailpointState, FaultPlan, Lsn, RecoveryReport, StdWalIo, StorageError, WalIo,
+    WalRecord,
+};
 use rox_xmldb::Catalog;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const SITE_V0: &str = r#"<site><open_auction><bidder><increase>12</increase></bidder><current>150</current></open_auction><open_auction><bidder><increase>7</increase></bidder><current>40</current></open_auction></site>"#;
@@ -260,16 +270,30 @@ fn prove_recovery(tag: &str, dir: &Path, ops: &[Op], run: &Drive) -> Lsn {
     report.last_lsn
 }
 
+/// Mutation records (checkpoints excluded) in each lane file of `dir`;
+/// a lane missing or unreadable after a crash counts none.
+fn lane_appends(dir: &Path) -> [usize; WAL_LANES] {
+    WAL_LANE_FILES.map(|name| {
+        scan_wal(&dir.join(name)).map_or(0, |scan| {
+            scan.records
+                .iter()
+                .filter(|(_, r)| !matches!(r, WalRecord::Checkpoint { .. }))
+                .count()
+        })
+    })
+}
+
 /// The torture loop: ≥ 200 seeded crash schedules across all three
 /// fault modes (`seed % 3` cycles short write / torn write / fsync lie),
 /// each calibrated so the crash lands uniformly anywhere in the
-/// workload — inside a WAL append, a group commit, or a checkpoint's
+/// workload — inside a WAL append, a commit, or a checkpoint's
 /// snapshot write, rename or directory sync.
 #[test]
 fn torture_seeded_crash_schedules_all_recover() {
     const SEEDS: u64 = 240;
     const OPS: usize = 8;
     let mut crashes = 0u32;
+    let mut appends = [0usize; WAL_LANES];
     for seed in 0..SEEDS {
         let ops = schedule(seed, OPS);
         let window = calibrate(seed, &ops) + 1;
@@ -286,6 +310,9 @@ fn torture_seeded_crash_schedules_all_recover() {
         let run = drive(&engine, &ops, &state);
         crashes += run.crashed as u32;
         drop(engine); // the crash: the writer is gone
+        for (total, n) in appends.iter_mut().zip(lane_appends(&dir)) {
+            *total += n;
+        }
 
         prove_recovery(&format!("seed {seed}"), &dir, &ops, &run);
         std::fs::remove_dir_all(&dir).ok();
@@ -295,6 +322,10 @@ fn torture_seeded_crash_schedules_all_recover() {
     assert!(
         crashes > SEEDS as u32 / 2,
         "only {crashes}/{SEEDS} schedules crashed — the harness lost its teeth"
+    );
+    assert!(
+        appends.iter().all(|&n| n > 0),
+        "appends landed on one lane only: {appends:?}"
     );
 }
 
@@ -324,12 +355,12 @@ fn clean_shutdown_recovers_bit_identical_with_no_torn_tail() {
 }
 
 /// Concurrent durable mutations: appends interleave under the order
-/// lock, commits ride the group fsync, and every acked epoch bump
-/// survives recovery. The fsync count never exceeds the commit count
-/// (batching can only help), and the durable water mark catches up to
-/// the last LSN.
+/// lock and spread over both lanes, commits sync their lanes, and every
+/// acked epoch bump survives recovery. The fsync count never exceeds
+/// the commit count (each sync retires at least one record), and the
+/// durable water mark catches up to the last LSN.
 #[test]
-fn concurrent_mutations_group_commit_and_recover() {
+fn concurrent_mutations_use_both_lanes_and_recover() {
     const THREADS: u64 = 8;
     const EACH: u64 = 8;
     let dir = torture_dir("group");
@@ -366,6 +397,9 @@ fn concurrent_mutations_group_commit_and_recover() {
         stats.commits
     );
     drop(engine);
+    let appends = lane_appends(&dir);
+    assert!(appends.iter().all(|&n| n > 0), "lanes used: {appends:?}");
+    assert_eq!(appends.iter().sum::<usize>() as u64, THREADS * EACH);
 
     let (recovered, report) = RoxEngine::recover(&dir).unwrap();
     assert_eq!(report.last_lsn, 1 + THREADS * EACH);
@@ -376,4 +410,182 @@ fn concurrent_mutations_group_commit_and_recover() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Real files, except that once armed, creating a file named `target`
+/// or renaming onto one fails: naming a lane's tmp fails its staging,
+/// naming the lane fails the rename that makes it current.
+struct CrashBefore {
+    target: &'static str,
+    armed: AtomicBool,
+}
+
+impl CrashBefore {
+    fn check(&self, path: &Path) -> std::io::Result<()> {
+        if self.armed.load(Ordering::SeqCst) && path.file_name() == Some(self.target.as_ref()) {
+            return Err(std::io::Error::other("crashed before publishing"));
+        }
+        Ok(())
+    }
+}
+
+impl WalIo for CrashBefore {
+    fn create(&self, path: &Path) -> std::io::Result<Box<dyn WalFile>> {
+        self.check(path)?;
+        StdWalIo.create(path)
+    }
+    fn open_append(&self, path: &Path, len: u64) -> std::io::Result<Box<dyn WalFile>> {
+        StdWalIo.open_append(path, len)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        self.check(to)?;
+        StdWalIo.rename(from, to)
+    }
+    fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+        StdWalIo.sync_dir(dir)
+    }
+}
+
+/// What [`crash_checkpoint_before`] observed.
+struct CheckpointCrash {
+    /// The writer's last acknowledged LSN.
+    last: Lsn,
+    /// Whether the writer acknowledged a mutation after the failed
+    /// checkpoint (rather than refusing it).
+    acked_after: bool,
+    report: RecoveryReport,
+    /// Lane 1's length right after recovery.
+    lane1_len: u64,
+}
+
+/// Acked mutations on both lanes, then a checkpoint that fails at
+/// `target`, then one more mutation from the same writer, which must
+/// either error or survive. Recovery must equal the writer as of its
+/// last ack — epochs, re-snapshotted bytes — and extend the log at
+/// water mark + 1.
+fn crash_checkpoint_before(tag: &str, target: &'static str) -> CheckpointCrash {
+    let dir = torture_dir(tag);
+    std::fs::remove_dir_all(&dir).ok();
+    let io = Arc::new(CrashBefore {
+        target,
+        armed: AtomicBool::new(false),
+    });
+    let writer = RoxEngine::new(fresh_catalog());
+    writer
+        .make_durable_with_io(&dir, Arc::clone(&io) as Arc<dyn WalIo>)
+        .unwrap();
+    let ops = [
+        Op::Invalidate {
+            uri: URIS[0],
+            reload: Some(11),
+        },
+        Op::Invalidate {
+            uri: URIS[1],
+            reload: Some(12),
+        },
+        Op::Reindex {
+            uri: URIS[0],
+            reload: 13,
+        },
+        Op::Invalidate {
+            uri: URIS[1],
+            reload: None,
+        },
+    ];
+    let mut last = 1;
+    for op in &ops {
+        last = apply(&writer, op).unwrap().unwrap();
+    }
+    assert!(lane_appends(&dir).iter().all(|&n| n > 0));
+    io.armed.store(true, Ordering::SeqCst);
+    assert!(
+        writer.checkpoint().is_err(),
+        "{tag}: the checkpoint crashed"
+    );
+    // The writer outlives the failed checkpoint. A refused mutation may
+    // still have bumped its in-memory epoch, so the expected state is
+    // taken before it, and again only if it was acknowledged.
+    let want = torture_dir(&format!("{tag}-writer.rox"));
+    writer.save_snapshot(&want).unwrap();
+    let mut epochs = URIS.map(|uri| writer.doc_epoch(uri));
+    let after = writer.try_invalidate_document(URIS[1]);
+    if let Ok(lsn) = after {
+        last = lsn.expect("durable writer");
+        writer.save_snapshot(&want).unwrap();
+        epochs = URIS.map(|uri| writer.doc_epoch(uri));
+    }
+    drop(writer);
+
+    let (recovered, report) = RoxEngine::recover(&dir).unwrap();
+    assert!(report.last_lsn >= last, "{tag}: acked lsn {last} lost");
+    assert_eq!(URIS.map(|uri| recovered.doc_epoch(uri)), epochs, "{tag}");
+    let got = dir.join("recovered.check.rox");
+    recovered.save_snapshot(&got).unwrap();
+    assert_eq!(
+        std::fs::read(&got).unwrap(),
+        std::fs::read(&want).unwrap(),
+        "{tag}: recovered state is not bit-identical to the writer"
+    );
+    let lane1_len = std::fs::metadata(dir.join(WAL_LANE_FILES[1]))
+        .unwrap()
+        .len();
+    let next = recovered.try_invalidate_document(URIS[0]).unwrap();
+    assert_eq!(next, Some(report.last_lsn + 1), "{tag}: log misnumbered");
+    drop(recovered);
+    std::fs::remove_file(&want).ok();
+    std::fs::remove_dir_all(&dir).ok();
+    CheckpointCrash {
+        last,
+        acked_after: after.is_ok(),
+        report,
+        lane1_len,
+    }
+}
+
+/// New snapshot and lane 0, old lane 1: every lane-1 record lies below
+/// the new checkpoint, so it is stale — ignored and cut off. The writer
+/// lost its lane 0 to the rename, so it refuses further mutations.
+#[test]
+fn checkpoint_crash_between_lane_publishes_ignores_the_stale_lane() {
+    let crash = crash_checkpoint_before("cp-lane1", WAL_LANE_FILES[1]);
+    assert!(
+        !crash.acked_after,
+        "a writer past lane 0's rename must refuse"
+    );
+    assert_eq!(
+        crash.report.last_lsn,
+        crash.last + 1,
+        "the new checkpoint is the water mark"
+    );
+    assert_eq!(crash.report.replayed, 0);
+    assert!(
+        crash.report.torn_tail_bytes > 0,
+        "stale lane-1 records are cut"
+    );
+    assert_eq!(crash.lane1_len, WAL_HEADER as u64);
+}
+
+/// New snapshot, old lanes: the old generation replays over it whole.
+#[test]
+fn checkpoint_crash_before_the_log_publish_replays_the_old_lanes() {
+    let crash = crash_checkpoint_before("cp-lane0", WAL_FILE);
+    assert!(
+        !crash.acked_after,
+        "a failed lane rename poisons the writer"
+    );
+    assert_eq!(crash.report.last_lsn, crash.last);
+    assert_eq!(crash.report.replayed, 4);
+    assert_eq!(crash.report.torn_tail_bytes, 0);
+}
+
+/// A lane that fails to stage (say, no space for its tmp) fails the
+/// checkpoint before any lane is renamed: the old log stays whole, the
+/// writer keeps appending to it, and its next ack survives recovery.
+#[test]
+fn checkpoint_failing_to_stage_a_lane_keeps_the_log_live() {
+    let crash = crash_checkpoint_before("cp-stage1", "wal.1.rox.tmp");
+    assert!(crash.acked_after, "the old log is still live");
+    assert_eq!(crash.report.last_lsn, crash.last);
+    assert_eq!(crash.report.replayed, 5);
+    assert_eq!(crash.report.torn_tail_bytes, 0);
 }

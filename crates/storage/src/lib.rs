@@ -21,8 +21,8 @@
 //!   [`SnapshotSource`], the [`rox_index::DocSource`] implementation that
 //!   the engine's `IndexedStore` faults documents and indices through.
 //! * [`wal`] — the write-ahead log: checksummed, LSN-stamped mutation
-//!   records with group fsync and torn-tail detection, closing the
-//!   between-snapshots durability window.
+//!   records over two lanes whose fsyncs overlap, with torn-tail
+//!   detection, closing the between-snapshots durability window.
 //! * [`recovery`] — durable directories: the checkpoint state machine
 //!   (tmp-write → verify → rename → dir-fsync) and [`recover`], which
 //!   replays the log tail over the newest valid snapshot.

@@ -22,25 +22,33 @@
 //! the first invalid one — a short length, a CRC mismatch, an unknown
 //! kind, or a non-increasing LSN all mean the tail was torn mid-write
 //! and everything from there on is discarded (torn-tail detection).
-//! LSNs are strictly increasing and never reset, even across log
-//! rotations, so "newer" is always a single integer comparison.
+//! LSNs are strictly increasing within a file and never reset, even
+//! across log rotations, so "newer" is always a single integer
+//! comparison.
 //!
-//! ## Group commit
+//! ## Lanes
 //!
-//! [`Wal::append`] assigns the LSN and buffers the frame in the OS;
-//! [`Wal::commit`] makes it durable. Concurrent committers elect one
-//! leader that fsyncs once for every record appended so far; followers
-//! wait on a condvar and return as soon as the leader's sync covers
-//! their LSN — N acknowledgements per fsync, not one.
+//! A [`Wal`] writes to one or more *lane* files, each behind its own
+//! lock; a durable directory has two (see [`crate::recovery`]), so two
+//! commits' fsyncs can be in flight at once. [`Wal::append`] assigns
+//! the next LSN and writes the frame to the lane named by the LSN's
+//! parity — or to the other lane when that one is mid-sync. Appends are
+//! serialized, so LSNs strictly increase within each lane, and the
+//! lanes together hold every LSN exactly once. [`Wal::commit`]`(lsn)`
+//! fsyncs the record's own lane, then any other lane still holding an
+//! unsynced LSN below it: an acknowledgement means every LSN ≤ `lsn` is
+//! durable, in whichever lane it landed (the prefix rule). The durable
+//! water mark is that gap-free prefix.
 
 use crate::bytes::{ByteWriter, SliceReader};
 use crate::crc::crc32c;
 use crate::error::{Result, StorageError};
 use crate::file::retry_transient;
+use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Mutex, MutexGuard};
 
 /// A log sequence number: strictly increasing across the life of a
 /// durable directory, never reset by rotation.
@@ -247,29 +255,18 @@ pub fn wal_header_bytes() -> [u8; WAL_HEADER] {
     h
 }
 
-/// What a WAL scan found: every intact record in order, how many bytes
-/// of the file they cover, and whether a torn tail follows them.
+/// What a WAL scan found: every intact record in order, where each one
+/// ends, and how long the file was — bytes past the last end (or past
+/// the header, with no records) are a torn tail.
 #[derive(Debug)]
 pub struct WalScan {
     /// Every valid record, in LSN order.
     pub records: Vec<(Lsn, WalRecord)>,
-    /// Bytes covered by the header plus the valid records — recovery
-    /// truncates the file back to this length.
-    pub valid_len: u64,
+    /// File offset just past each record's frame, parallel to
+    /// `records` — where recovery cuts a lane that keeps a prefix.
+    pub ends: Vec<u64>,
     /// Total bytes scanned.
     pub file_len: u64,
-}
-
-impl WalScan {
-    /// Bytes of torn tail discarded by the scan.
-    pub fn torn_tail_bytes(&self) -> u64 {
-        self.file_len - self.valid_len
-    }
-
-    /// The last valid record's LSN (0 when the log holds none).
-    pub fn last_lsn(&self) -> Lsn {
-        self.records.last().map_or(0, |(lsn, _)| *lsn)
-    }
 }
 
 /// Scan an in-memory WAL image: validate the header, then accept
@@ -289,6 +286,7 @@ pub fn scan_wal_bytes(bytes: &[u8]) -> Result<WalScan> {
         )));
     }
     let mut records = Vec::new();
+    let mut ends = Vec::new();
     let mut at = WAL_HEADER;
     let mut last_lsn = 0u64;
     while bytes.len() - at >= FRAME_HEADER {
@@ -310,10 +308,11 @@ pub fn scan_wal_bytes(bytes: &[u8]) -> Result<WalScan> {
         last_lsn = lsn;
         records.push((lsn, record));
         at += FRAME_HEADER + len as usize;
+        ends.push(at as u64);
     }
     Ok(WalScan {
         records,
-        valid_len: at as u64,
+        ends,
         file_len: bytes.len() as u64,
     })
 }
@@ -414,192 +413,251 @@ impl WalIo for StdWalIo {
 /// Counters and water marks of one [`Wal`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
-    /// Records appended in the current log generation (including its
-    /// leading checkpoint record).
+    /// Records appended in the current log generation, over every lane
+    /// (including the generation's leading checkpoint record).
     pub records: u64,
-    /// Bytes in the current log generation, header included.
+    /// Bytes in the current log generation over every lane, headers
+    /// included.
     pub bytes: u64,
-    /// Fsyncs issued — with group commit this is ≤ `commits`.
+    /// Fsyncs issued. Each retires at least one unsynced record, so
+    /// this stays ≤ `commits` while every append is committed.
     pub fsyncs: u64,
     /// Commit calls acknowledged.
     pub commits: u64,
     /// Highest LSN appended.
     pub last_lsn: Lsn,
-    /// Highest LSN known durable.
+    /// Highest LSN with every LSN up to it durable, in every lane.
     pub durable_lsn: Lsn,
 }
 
-struct FileSlot {
-    file: Box<dyn WalFile>,
-    next_lsn: Lsn,
+/// What the lanes share, behind one lock that is never held across I/O.
+struct Book {
+    /// Per lane, the LSNs written to it and not yet covered by a sync,
+    /// ascending.
+    unsynced: Vec<VecDeque<Lsn>>,
+    last_lsn: Lsn,
     records: u64,
     bytes: u64,
-    /// A failed append or sync leaves the log in an unknown state; the
-    /// only safe continuation is recovery, so everything after errors.
-    poisoned: bool,
-}
-
-struct Book {
-    durable_lsn: Lsn,
-    last_lsn: Lsn,
-    syncing: bool,
-    failed: bool,
     fsyncs: u64,
     commits: u64,
+    /// A failed write or sync leaves the log in an unknown state; the
+    /// only safe continuation is recovery, so everything after errors.
+    failed: bool,
+}
+
+impl Book {
+    fn check(&self) -> Result<()> {
+        if self.failed {
+            return Err(StorageError::Format(
+                "write-ahead log poisoned by an earlier I/O failure".to_string(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// The gap-free durable prefix: everything below the oldest
+    /// unsynced LSN of any lane.
+    fn durable_lsn(&self) -> Lsn {
+        self.unsynced
+            .iter()
+            .filter_map(|lane| lane.front())
+            .min()
+            .map_or(self.last_lsn, |&oldest| oldest - 1)
+    }
+
+    /// Does `lane` hold an unsynced LSN ≤ `lsn`?
+    fn needs_sync(&self, lane: usize, lsn: Lsn) -> Result<bool> {
+        self.check()?;
+        Ok(self.unsynced[lane]
+            .front()
+            .is_some_and(|&oldest| oldest <= lsn))
+    }
 }
 
 /// The append/commit half of the log (the scan half is [`scan_wal`]).
-/// Thread-safe: appends serialize on the file, commits group-fsync.
+/// Thread-safe: appends serialize, and a commit's fsync holds only its
+/// own lane, so commits on different lanes sync at the same time.
 pub struct Wal {
-    slot: Mutex<FileSlot>,
+    /// Serializes appends, so LSNs strictly increase within each lane;
+    /// holds the next LSN to assign.
+    next_lsn: Mutex<Lsn>,
+    /// One file per lane; a sync holds its lane's lock throughout.
+    lanes: Vec<Mutex<Box<dyn WalFile>>>,
     book: Mutex<Book>,
-    cv: Condvar,
 }
 
 impl Wal {
-    /// Wrap an open log file. `last_lsn` is the highest LSN already in
+    /// Wrap one open log file. `last_lsn` is the highest LSN already in
     /// it (appends continue at `last_lsn + 1`, which is also already
     /// durable), `records`/`bytes` seed the stats counters.
     pub fn open(file: Box<dyn WalFile>, last_lsn: Lsn, records: u64, bytes: u64) -> Self {
+        Self::open_lanes(vec![file], last_lsn, records, bytes)
+    }
+
+    /// As [`Wal::open`] over several lane files, lane `i` being
+    /// `files[i]`; `last_lsn` is the highest LSN in any of them and
+    /// `records`/`bytes` are totals over all of them.
+    pub fn open_lanes(
+        files: Vec<Box<dyn WalFile>>,
+        last_lsn: Lsn,
+        records: u64,
+        bytes: u64,
+    ) -> Self {
+        assert!(!files.is_empty(), "a log needs at least one lane");
         Wal {
-            slot: Mutex::new(FileSlot {
-                file,
-                next_lsn: last_lsn + 1,
+            next_lsn: Mutex::new(last_lsn + 1),
+            book: Mutex::new(Book {
+                unsynced: vec![VecDeque::new(); files.len()],
+                last_lsn,
                 records,
                 bytes,
-                poisoned: false,
-            }),
-            book: Mutex::new(Book {
-                durable_lsn: last_lsn,
-                last_lsn,
-                syncing: false,
-                failed: false,
                 fsyncs: 0,
                 commits: 0,
+                failed: false,
             }),
-            cv: Condvar::new(),
+            lanes: files.into_iter().map(Mutex::new).collect(),
         }
+    }
+
+    fn book(&self) -> MutexGuard<'_, Book> {
+        self.book.lock().expect("wal book lock")
+    }
+
+    /// The lane for `lsn`: the one its parity names, else the first one
+    /// not mid-sync, else — every lane busy — the parity lane, waited on.
+    fn lane_for(&self, lsn: Lsn) -> (usize, MutexGuard<'_, Box<dyn WalFile>>) {
+        let n = self.lanes.len();
+        let preferred = (lsn % n as u64) as usize;
+        for lane in (0..n).map(|k| (preferred + k) % n) {
+            if let Ok(file) = self.lanes[lane].try_lock() {
+                return (lane, file);
+            }
+        }
+        let file = self.lanes[preferred].lock().expect("wal lane lock");
+        (preferred, file)
     }
 
     /// Append one record, assigning it the next LSN. The record is in
     /// the OS buffer after this returns — call [`Wal::commit`] before
     /// acknowledging the mutation to anyone.
     pub fn append(&self, record: &WalRecord) -> Result<Lsn> {
-        let mut slot = self.slot.lock().expect("wal slot lock");
-        if slot.poisoned {
-            return Err(StorageError::Format(
-                "write-ahead log poisoned by an earlier I/O failure".to_string(),
-            ));
-        }
-        let lsn = slot.next_lsn;
+        let mut next_lsn = self.next_lsn.lock().expect("wal append lock");
+        self.book().check()?;
+        let lsn = *next_lsn;
         let frame = encode_frame(lsn, record);
-        if let Err(e) = slot.file.append(&frame) {
-            slot.poisoned = true;
-            self.fail_waiters();
+        let (lane, mut file) = self.lane_for(lsn);
+        let written = file.append(&frame);
+        let mut book = self.book();
+        if let Err(e) = written {
+            book.failed = true;
             return Err(e.into());
         }
-        slot.next_lsn += 1;
-        slot.records += 1;
-        slot.bytes += frame.len() as u64;
-        // The book update must stay inside the slot critical section
-        // (slot → book is the lock order, see `fail_waiters`): done
-        // after the drop, two appends can publish out of order and
-        // regress `last_lsn`, leaving a committer waiting above the
-        // mark to re-elect itself leader forever.
-        self.book.lock().expect("wal book lock").last_lsn = lsn;
-        drop(slot);
+        book.unsynced[lane].push_back(lsn);
+        book.last_lsn = lsn;
+        book.records += 1;
+        book.bytes += frame.len() as u64;
+        *next_lsn += 1;
         Ok(lsn)
     }
 
-    /// Make every record up to (at least) `lsn` durable, group-
-    /// committing with concurrent callers: one elected leader fsyncs
-    /// for everyone appended so far, followers wait and return once the
-    /// leader's sync covers them. Returns the durable water mark.
+    /// Make every record up to `lsn` durable, then acknowledge: sync the
+    /// record's own lane if no sync covers it yet, then every other lane
+    /// still holding an unsynced LSN below it. A lane mid-sync under
+    /// another commit is waited for, and then found covered. Returns the
+    /// durable water mark, ≥ `lsn`.
     pub fn commit(&self, lsn: Lsn) -> Result<Lsn> {
-        let mut book = self.book.lock().expect("wal book lock");
+        let own = {
+            let book = self.book();
+            book.check()?;
+            book.unsynced
+                .iter()
+                .position(|lane| lane.binary_search(&lsn).is_ok())
+        };
+        let n = self.lanes.len();
+        let first = own.unwrap_or(0);
+        for lane in (0..n).map(|k| (first + k) % n) {
+            self.sync_lane(lane, lsn)?;
+        }
+        let mut book = self.book();
         book.commits += 1;
-        loop {
-            if book.failed {
-                return Err(StorageError::Format(
-                    "write-ahead log poisoned by an earlier I/O failure".to_string(),
-                ));
+        Ok(book.durable_lsn())
+    }
+
+    /// Sync `lane` if it holds an unsynced LSN ≤ `lsn`, checking again
+    /// under the lane lock: a concurrent commit may have synced it while
+    /// this one waited.
+    fn sync_lane(&self, lane: usize, lsn: Lsn) -> Result<()> {
+        if !self.book().needs_sync(lane, lsn)? {
+            return Ok(());
+        }
+        let mut file = self.lanes[lane].lock().expect("wal lane lock");
+        if !self.book().needs_sync(lane, lsn)? {
+            return Ok(());
+        }
+        let synced = file.sync();
+        let mut book = self.book();
+        book.fsyncs += 1;
+        match synced {
+            // Nothing lands in a lane while its lock is held, so the
+            // sync covered every LSN the lane held.
+            Ok(()) => {
+                book.unsynced[lane].clear();
+                Ok(())
             }
-            if book.durable_lsn >= lsn {
-                return Ok(book.durable_lsn);
-            }
-            if book.syncing {
-                book = self.cv.wait(book).expect("wal book lock");
-                continue;
-            }
-            // Leader: sync everything appended so far.
-            book.syncing = true;
-            let target = book.last_lsn;
-            drop(book);
-            let synced = {
-                let mut slot = self.slot.lock().expect("wal slot lock");
-                slot.file.sync()
-            };
-            book = self.book.lock().expect("wal book lock");
-            book.syncing = false;
-            book.fsyncs += 1;
-            match synced {
-                Ok(()) => {
-                    book.durable_lsn = book.durable_lsn.max(target);
-                    self.cv.notify_all();
-                }
-                Err(e) => {
-                    book.failed = true;
-                    self.slot.lock().expect("wal slot lock").poisoned = true;
-                    self.cv.notify_all();
-                    return Err(e.into());
-                }
+            Err(e) => {
+                book.failed = true;
+                Err(e.into())
             }
         }
     }
 
-    fn fail_waiters(&self) {
-        self.book.lock().expect("wal book lock").failed = true;
-        self.cv.notify_all();
+    /// Swap in a freshly rotated generation, one file per lane: lane 0
+    /// ends with the checkpoint record at `cp_lsn`, and `bytes` is the
+    /// total over the lanes (see [`crate::recovery::write_checkpoint`]).
+    /// Counters restart for the new generation; the LSN sequence does
+    /// not.
+    pub fn install_rotated(&self, files: Vec<Box<dyn WalFile>>, cp_lsn: Lsn, bytes: u64) {
+        assert_eq!(files.len(), self.lanes.len(), "one file per lane");
+        let mut next_lsn = self.next_lsn.lock().expect("wal append lock");
+        let mut lanes: Vec<_> = self
+            .lanes
+            .iter()
+            .map(|lane| lane.lock().expect("wal lane lock"))
+            .collect();
+        for (lane, file) in lanes.iter_mut().zip(files) {
+            **lane = file;
+        }
+        let mut book = self.book();
+        book.unsynced.iter_mut().for_each(VecDeque::clear);
+        book.last_lsn = cp_lsn;
+        book.records = 1;
+        book.bytes = bytes;
+        book.failed = false;
+        *next_lsn = cp_lsn + 1;
     }
 
-    /// Swap in a freshly rotated log file whose last record is the
-    /// checkpoint at `cp_lsn` and whose length is `bytes` (see
-    /// [`crate::recovery::write_checkpoint`]). Counters restart for the
-    /// new generation; the LSN sequence does not.
-    pub fn install_rotated(&self, file: Box<dyn WalFile>, cp_lsn: Lsn, bytes: u64) {
-        let mut slot = self.slot.lock().expect("wal slot lock");
-        slot.file = file;
-        slot.next_lsn = cp_lsn + 1;
-        slot.records = 1;
-        slot.bytes = bytes;
-        slot.poisoned = false;
-        drop(slot);
-        let mut book = self.book.lock().expect("wal book lock");
-        book.last_lsn = cp_lsn;
-        book.durable_lsn = cp_lsn;
-        book.failed = false;
-        self.cv.notify_all();
+    /// Refuse every later append and commit until recovery: a
+    /// checkpoint replaced a lane file under this log's handle, so a
+    /// record written through it would be lost.
+    pub(crate) fn poison(&self) {
+        self.book().failed = true;
     }
 
     /// Highest LSN appended so far.
     pub fn last_lsn(&self) -> Lsn {
-        self.book.lock().expect("wal book lock").last_lsn
+        self.book().last_lsn
     }
 
     /// Current counters and water marks.
     pub fn stats(&self) -> WalStats {
-        let (records, bytes) = {
-            let slot = self.slot.lock().expect("wal slot lock");
-            (slot.records, slot.bytes)
-        };
-        let book = self.book.lock().expect("wal book lock");
+        let book = self.book();
         WalStats {
-            records,
-            bytes,
+            records: book.records,
+            bytes: book.bytes,
             fsyncs: book.fsyncs,
             commits: book.commits,
             last_lsn: book.last_lsn,
-            durable_lsn: book.durable_lsn,
+            durable_lsn: book.durable_lsn(),
         }
     }
 }
@@ -650,8 +708,7 @@ mod tests {
     fn records_roundtrip_through_the_frame_codec() {
         let records = sample_records();
         let scan = scan_wal_bytes(&image(&records)).unwrap();
-        assert_eq!(scan.torn_tail_bytes(), 0);
-        assert_eq!(scan.last_lsn(), records.len() as u64);
+        assert_eq!(scan.ends.last(), Some(&scan.file_len));
         let decoded: Vec<WalRecord> = scan.records.into_iter().map(|(_, r)| r).collect();
         assert_eq!(decoded, records);
     }
@@ -670,11 +727,13 @@ mod tests {
             at += encode_frame(*lsn, r).len() as u64;
             ends.push(at);
         }
+        assert_eq!(whole.ends, ends);
         for cut in WAL_HEADER..full.len() {
             let scan = scan_wal_bytes(&full[..cut]).unwrap();
-            assert!(scan.valid_len <= cut as u64);
             let intact = ends.iter().filter(|&&e| e <= cut as u64).count();
             assert_eq!(scan.records.len(), intact, "cut at {cut}");
+            assert_eq!(scan.ends, ends[..intact], "cut at {cut}");
+            assert_eq!(scan.file_len, cut as u64);
         }
 
         // A flipped byte in the middle record kills it and its tail.
@@ -683,7 +742,7 @@ mod tests {
         corrupt[mid] ^= 0xFF;
         let scan = scan_wal_bytes(&corrupt).unwrap();
         assert_eq!(scan.records.len(), 1);
-        assert!(scan.torn_tail_bytes() > 0);
+        assert!(scan.ends[0] < scan.file_len);
     }
 
     #[test]
@@ -714,18 +773,27 @@ mod tests {
 
         let scan = scan_wal(&path).unwrap();
         assert_eq!(scan.records.len(), records.len());
-        assert_eq!(scan.torn_tail_bytes(), 0);
+        assert_eq!(scan.ends.last(), Some(&scan.file_len));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn concurrent_commits_group_behind_one_fsync() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("rox-wal-group-{}.rox", std::process::id()));
-        let io = StdWalIo;
-        let mut file = io.create(&path).unwrap();
-        file.append(&wal_header_bytes()).unwrap();
-        let wal = Arc::new(Wal::open(file, 0, 0, WAL_HEADER as u64));
+    fn concurrent_commits_over_two_lanes_ack_every_lsn() {
+        let paths: Vec<_> = (0..2)
+            .map(|lane| {
+                std::env::temp_dir()
+                    .join(format!("rox-wal-lanes-{}-{lane}.rox", std::process::id()))
+            })
+            .collect();
+        let files = paths
+            .iter()
+            .map(|path| {
+                let mut file = StdWalIo.create(path).unwrap();
+                file.append(&wal_header_bytes()).unwrap();
+                file
+            })
+            .collect();
+        let wal = Arc::new(Wal::open_lanes(files, 0, 0, 2 * WAL_HEADER as u64));
 
         let threads: Vec<_> = (0..8)
             .map(|t| {
@@ -751,8 +819,42 @@ mod tests {
         assert_eq!(stats.records, 128);
         assert_eq!(stats.commits, 128);
         assert_eq!(stats.durable_lsn, 128);
-        let scan = scan_wal(&path).unwrap();
-        assert_eq!(scan.records.len(), 128);
-        std::fs::remove_file(&path).ok();
+        assert!(stats.fsyncs <= stats.commits, "{stats:?}");
+        // Each lane scans clean (LSNs strictly increase within it), and
+        // together they hold every LSN exactly once.
+        let mut lsns: Vec<Lsn> = Vec::new();
+        for path in &paths {
+            let scan = scan_wal(path).unwrap();
+            assert_eq!(scan.ends.last(), Some(&scan.file_len));
+            lsns.extend(scan.records.iter().map(|(lsn, _)| *lsn));
+            std::fs::remove_file(path).ok();
+        }
+        lsns.sort_unstable();
+        assert_eq!(lsns, (1..=128).collect::<Vec<_>>());
+    }
+
+    /// A [`WalFile`] whose appends succeed and whose syncs fail.
+    struct FailingSync;
+
+    impl WalFile for FailingSync {
+        fn append(&mut self, _bytes: &[u8]) -> std::io::Result<()> {
+            Ok(())
+        }
+        fn sync(&mut self) -> std::io::Result<()> {
+            Err(std::io::Error::other("sync refused"))
+        }
+    }
+
+    #[test]
+    fn failed_commits_are_not_counted_and_poison_the_log() {
+        let wal = Wal::open(Box::new(FailingSync), 0, 0, 0);
+        let lsn = wal.append(&sample_records()[1]).unwrap();
+        assert!(wal.commit(lsn).is_err());
+        assert!(wal.commit(lsn).is_err(), "a poisoned log never acks");
+        assert!(wal.append(&sample_records()[1]).is_err());
+        let stats = wal.stats();
+        assert_eq!(stats.commits, 0, "{stats:?}");
+        assert_eq!(stats.fsyncs, 1, "{stats:?}");
+        assert_eq!(stats.durable_lsn, 0, "{stats:?}");
     }
 }
