@@ -15,7 +15,6 @@
 //! | Fig. 6 (plan classes vs correlation)    | [`fig6`]   | `fig6_plan_classes` |
 //! | Fig. 7 (document-size scaling)          | [`fig7`]   | `fig7_scaling` |
 //! | Fig. 8 (sample-size overhead)           | [`fig8`]   | `fig8_sample_size` |
-//! | Thread scaling (extension)              | [`scaling_threads`] | `fig_scaling_threads` |
 //!
 //! Engineering numbers (serving, storage, durability, operator kernels)
 //! live in the repository's one benchmark, `benchmark/run.sh`, not here.
@@ -25,7 +24,6 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
-pub mod scaling_threads;
 pub mod setup;
 pub mod table2;
 pub mod table3;

@@ -129,17 +129,6 @@ pub fn choose_step_kernel(
     }
 }
 
-/// Minimum probe-input tuples per worker thread for the morsel-parallel
-/// arms of the full-mode staircase and hash joins. A fan-out engages only
-/// once the probe input reaches **twice** this (1024 tuples — see
-/// [`Parallelism::effective_threads`](rox_par::Parallelism::effective_threads));
-/// below that the join runs as a single morsel on the calling thread,
-/// where the fan-out would cost more than it saves: dispatching a batch
-/// onto the always-on worker pool costs roughly a condvar wake plus atomic
-/// cursor claims (~1–3 µs), and at ~15–30 ns of probe work per tuple 512
-/// tuples ≈ 8–15 µs per worker — several times the dispatch cost.
-pub const MIN_PARTITION_INPUT: usize = 512;
-
 /// Drift thresholds of the guarded plan replay (`rox-core`'s guard
 /// module). A cached plan's recorded per-edge cardinalities are compared
 /// against what the replay observes; the plan is demoted to a fresh
@@ -249,13 +238,6 @@ impl Cost {
     pub fn total(&self) -> u64 {
         self.tuples_in + self.tuples_out + self.probes
     }
-
-    /// Merge another counter into this one.
-    pub fn add(&mut self, other: Cost) {
-        self.tuples_in += other.tuples_in;
-        self.tuples_out += other.tuples_out;
-        self.probes += other.probes;
-    }
 }
 
 #[cfg(test)]
@@ -346,27 +328,5 @@ mod tests {
             (REVALIDATE_SPOT_CHECKS * REVALIDATE_BUDGET_PER_CHECK * 100) as u64
         );
         assert!(revalidation_budget(0) > 0);
-    }
-
-    #[test]
-    fn add_merges() {
-        let mut a = Cost {
-            tuples_in: 1,
-            tuples_out: 2,
-            probes: 3,
-        };
-        a.add(Cost {
-            tuples_in: 10,
-            tuples_out: 20,
-            probes: 30,
-        });
-        assert_eq!(
-            a,
-            Cost {
-                tuples_in: 11,
-                tuples_out: 22,
-                probes: 33
-            }
-        );
     }
 }

@@ -18,10 +18,10 @@
 //! | edge kind  | mode    | operator                                         |
 //! |------------|---------|--------------------------------------------------|
 //! | step       | sampled | [`step_join`] with cut-off, caller-fixed outer   |
-//! | step       | full    | [`step_join_kernel`], smaller side outer, kernel by [`choose_step_kernel`](crate::cost::choose_step_kernel()), morsel-parallel under the [`Parallelism`] budget |
+//! | step       | full    | [`step_join_kernel`], smaller side outer, kernel by [`choose_step_kernel`](crate::cost::choose_step_kernel()) |
 //! | value join | sampled | index nested loop ([`index_value_join`](crate::valjoin::index_value_join())'s kernel entry) with cut-off (0-invest) |
 //! | value join | full, skewed | index nested loop, smaller side outer |
-//! | value join | full, balanced | hash join ([`hash_value_join`](crate::valjoin::hash_value_join())'s kernel entry), morsel-parallel probe |
+//! | value join | full, balanced | hash join ([`hash_value_join`](crate::valjoin::hash_value_join())) |
 //!
 //! New operators (staircase variants, semijoin reducers, new axes) plug in
 //! here once and every phase — sampling included — picks them up.
@@ -30,9 +30,8 @@ use crate::axis::Axis;
 use crate::cost::{choose_op, Cost};
 use crate::cutoff::JoinOut;
 use crate::staircase::{naive_axis, step_join, step_join_kernel, StepScratch};
-use crate::valjoin::{filter_set, hash_value_join_kernel, index_value_join_kernel};
+use crate::valjoin::{filter_set, hash_value_join, index_value_join_kernel};
 use rox_index::{PreSet, ValueIndex};
-use rox_par::{Parallelism, WorkerPool};
 use rox_xmldb::{Document, NodeKind, Pre};
 
 /// Logical classification of a Join Graph edge, decoupled from the graph
@@ -94,8 +93,7 @@ pub enum ExecMode {
         outer_is_v1: bool,
     },
     /// Full materialized execution; direction and operator are chosen by
-    /// cost, and the operators' morsel-parallel arms engage under the
-    /// kernel's [`Parallelism`] budget.
+    /// cost.
     Full,
 }
 
@@ -136,14 +134,6 @@ pub struct EdgeOpCtx<'a> {
     pub kind1: NodeKind,
     /// Node kind of `v2`'s nodes.
     pub kind2: NodeKind,
-    /// Worker-thread budget for full-mode morsel-parallel execution (ignored
-    /// in sampled mode — cut-off execution is inherently sequential).
-    pub par: Parallelism,
-    /// The worker pool full-mode operators fan out on; `None` uses
-    /// the process-shared pool. The engine passes its own pool here so
-    /// intra-query fan-out and inter-query serving share one set of
-    /// always-on threads.
-    pub workers: Option<&'a WorkerPool>,
 }
 
 /// What one kernel invocation produced, in the shape its mode calls for.
@@ -242,8 +232,6 @@ pub fn execute_edge_op(ctx: EdgeOpCtx<'_>, dense: DenseState<'_>, cost: &mut Cos
                     let scratch = StepScratch {
                         kernel: None,
                         cands_set: inner_set,
-                        par: ctx.par,
-                        workers: ctx.workers,
                     };
                     step_join_kernel(outer_doc, ax, outer, inner, None, scratch, cost)
                 }
@@ -278,15 +266,7 @@ pub fn execute_edge_op(ctx: EdgeOpCtx<'_>, dense: DenseState<'_>, cost: &mut Cos
         EdgeOpKind::HashValueJoin => {
             // Emits (v1, v2)-oriented node pairs directly; the internal
             // build-side choice is independent of the outer/inner framing.
-            let pairs = hash_value_join_kernel(
-                ctx.doc1,
-                ctx.input1,
-                ctx.doc2,
-                ctx.input2,
-                ctx.workers,
-                ctx.par,
-                cost,
-            );
+            let pairs = hash_value_join(ctx.doc1, ctx.input1, ctx.doc2, ctx.input2, cost);
             return EdgeOpOut {
                 choice,
                 result: EdgeOpResult::Full(pairs),
@@ -363,8 +343,6 @@ mod tests {
             index2: Some(ib),
             kind1: NodeKind::Text,
             kind2: NodeKind::Text,
-            par: Parallelism::Sequential,
-            workers: None,
         }
     }
 
@@ -474,8 +452,6 @@ mod tests {
             index2: None,
             kind1: NodeKind::Element,
             kind2: NodeKind::Element,
-            par: Parallelism::Sequential,
-            workers: None,
         };
         // Forward: children of each a.
         let mut cost = Cost::new();
@@ -542,8 +518,6 @@ mod tests {
                 index2: None,
                 kind1: NodeKind::Element,
                 kind2: NodeKind::Element,
-                par: Parallelism::Sequential,
-                workers: None,
             },
             DenseState::default(),
             &mut cost,

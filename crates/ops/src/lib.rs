@@ -32,8 +32,8 @@ pub mod valjoin;
 pub use axis::{Axis, NodeTest};
 pub use cost::{
     choose_op, choose_step_kernel, drift_breached, drift_ratio, nl_cheaper, revalidation_budget,
-    Cost, StepKernel, DRIFT_ABS_FLOOR, DRIFT_RATIO, MIN_PARTITION_INPUT, NL_VS_HASH_FACTOR,
-    REVALIDATE_BUDGET_PER_CHECK, REVALIDATE_SPOT_CHECKS, REVALIDATE_SPOT_TAU, STEP_BITSET_FACTOR,
+    Cost, StepKernel, DRIFT_ABS_FLOOR, DRIFT_RATIO, NL_VS_HASH_FACTOR, REVALIDATE_BUDGET_PER_CHECK,
+    REVALIDATE_SPOT_CHECKS, REVALIDATE_SPOT_TAU, STEP_BITSET_FACTOR,
 };
 pub use cutoff::JoinOut;
 pub use edgeop::{
@@ -42,7 +42,6 @@ pub use edgeop::{
 };
 pub use relation::{Relation, VarId};
 pub use rox_index::{PreSet, SymbolTable};
-pub use rox_par::Parallelism;
 pub use staircase::{naive_axis, step_join, step_join_kernel, StepScratch};
 pub use tail::Tail;
 pub use valjoin::{hash_value_join, index_value_join};

@@ -39,28 +39,19 @@
 //!
 //! [`step_join`] is the plain signature; [`step_join_kernel`] is the one
 //! kernel-facing entry the edge-operator kernel ([`crate::edgeop`]) calls,
-//! taking a [`StepScratch`] of reusable state and a worker budget. Full
-//! (no cut-off) execution over a large context splits it into contiguous
-//! morsels run on the worker pool and merged back in morsel order —
-//! because pairs are emitted in context order and every charge is
-//! per-tuple, the result is bit-identical to the single-morsel run.
-//! Cut-off execution is inherently sequential (the cut-off is a global
-//! scan position, §2.3); sampling parallelizes one level up, across
-//! candidate edges (see `rox-core`).
+//! taking a [`StepScratch`] of reusable state.
 
 use crate::axis::Axis;
-use crate::cost::{choose_step_kernel, Cost, StepKernel, MIN_PARTITION_INPUT};
+use crate::cost::{choose_step_kernel, Cost, StepKernel};
 use crate::cutoff::JoinOut;
 use crate::valjoin::filter_set;
 use rox_index::PreSet;
-use rox_par::{chunk_ranges, Parallelism, WorkerPool};
 use rox_xmldb::{Document, NodeKind, Pre};
 
-/// Caller-provided reusable state and worker budget for one
-/// [`step_join_kernel`] call. Every field is optional — the default
-/// chooses the kernel by cost, builds (and frees) whatever it needs, and
-/// runs on the calling thread; supplying a field only skips rebuilds or
-/// adds workers, never changes results or charges.
+/// Caller-provided reusable state for one [`step_join_kernel`] call.
+/// Every field is optional — the default chooses the kernel by cost and
+/// builds (and frees) whatever it needs; supplying a field only skips
+/// rebuilds, never changes results or charges.
 #[derive(Default, Clone, Copy)]
 pub struct StepScratch<'a> {
     /// Force a kernel instead of consulting
@@ -70,11 +61,6 @@ pub struct StepScratch<'a> {
     /// A membership set over exactly the call's candidate list (the
     /// evaluation state caches one per vertex table version).
     pub cands_set: Option<&'a PreSet>,
-    /// Worker-thread budget for full execution (ignored under a cut-off).
-    pub par: Parallelism,
-    /// The worker pool morsels fan out on; `None` uses the process-shared
-    /// pool.
-    pub workers: Option<&'a WorkerPool>,
 }
 
 /// Evaluate `axis::S` for every context node, stopping once `limit` pairs
@@ -87,8 +73,7 @@ pub struct StepScratch<'a> {
 ///
 /// The kernel is chosen by
 /// [`choose_step_kernel`](crate::cost::choose_step_kernel()); see
-/// [`step_join_kernel`] to reuse cached scratch state, fan out across
-/// workers, or force a kernel.
+/// [`step_join_kernel`] to reuse cached scratch state or force a kernel.
 pub fn step_join(
     doc: &Document,
     axis: Axis,
@@ -101,11 +86,8 @@ pub fn step_join(
 }
 
 /// As [`step_join`] with caller-provided [`StepScratch`]: the kernel-facing
-/// entry. The kernel (and, for the bitset kernel, the candidate set) is
-/// resolved **once** over the full context; without a cut-off, a context
-/// of at least twice [`MIN_PARTITION_INPUT`] tuples is then split into
-/// morsels across `scratch.par` workers. Pairs, order, truncation, and
-/// cost charges equal [`step_join`]'s at any setting.
+/// entry. Pairs, order, truncation, and cost charges equal
+/// [`step_join`]'s whatever the scratch holds.
 pub fn step_join_kernel(
     doc: &Document,
     axis: Axis,
@@ -127,42 +109,14 @@ pub fn step_join_kernel(
         .kernel
         .unwrap_or_else(|| choose_step_kernel(axis, ctx.len(), cands.len(), limit.is_some()));
     // The bitset kernel's membership set: the caller's cached one, else a
-    // fresh build — resolved once so morsels share it.
+    // fresh build.
     let owned_set =
         (kernel == StepKernel::Bitset && scratch.cands_set.is_none()).then(|| filter_set(cands));
     let set = match kernel {
         StepKernel::Probe => None,
         StepKernel::Bitset => scratch.cands_set.or(owned_set.as_ref()),
     };
-    let threads = match limit {
-        Some(_) => 1,
-        None => scratch
-            .par
-            .effective_threads(ctx.len(), MIN_PARTITION_INPUT),
-    };
-    if threads <= 1 {
-        return probe_walk(doc, axis, ctx, cands, set, limit, cost);
-    }
-    let morsels = chunk_ranges(ctx.len(), threads * 4);
-    let workers = scratch.workers.unwrap_or_else(|| WorkerPool::shared());
-    let runs = workers.par_map(threads, morsels.len(), |i| {
-        let mut local = Cost::new();
-        let morsel = &ctx[morsels[i].clone()];
-        let mut out = probe_walk(doc, axis, morsel, cands, set, None, &mut local);
-        // Row ids are positions within the morsel slice; shift them
-        // back into the full context's row space before merging.
-        let base = morsels[i].start as u32;
-        for p in &mut out.pairs {
-            p.0 += base;
-        }
-        (out, local)
-    });
-    let mut merged = JoinOut::with_limit(ctx.len(), None);
-    for (out, local) in runs {
-        merged.pairs.extend_from_slice(&out.pairs);
-        cost.add(local);
-    }
-    merged
+    probe_walk(doc, axis, ctx, cands, set, limit, cost)
 }
 
 /// Candidate membership for the probe walk: the range prune applies to
@@ -540,72 +494,5 @@ mod tests {
             .collect();
         let direct = run(&d, Axis::Descendant, &[0], idx.lookup(bidder_sym));
         assert_eq!(filtered, direct);
-    }
-
-    fn big_doc(sections: usize, items_per: usize) -> std::sync::Arc<Document> {
-        let mut s = String::from("<site>");
-        for _ in 0..sections {
-            s.push_str("<sec>");
-            for _ in 0..items_per {
-                s.push_str("<item/>");
-            }
-            s.push_str("</sec>");
-        }
-        s.push_str("</site>");
-        parse_document("big.xml", &s).unwrap()
-    }
-
-    /// The kernel entry at a worker budget, no cached set.
-    fn run_par(
-        d: &Document,
-        axis: Axis,
-        ctx: &[Pre],
-        cands: &[Pre],
-        par: Parallelism,
-    ) -> (Vec<(u32, Pre)>, Cost) {
-        let scratch = StepScratch {
-            par,
-            ..StepScratch::default()
-        };
-        let mut cost = Cost::new();
-        let out = step_join_kernel(d, axis, ctx, cands, None, scratch, &mut cost);
-        (out.pairs, cost)
-    }
-
-    #[test]
-    fn morsel_parallel_step_join_matches_sequential() {
-        // 9000 context tuples: crosses the 2*MIN_PARTITION_INPUT
-        // engagement threshold with capacity for 4 workers.
-        let doc = big_doc(9000, 2);
-        let idx = ElementIndex::build(&doc);
-        let secs = idx.lookup(doc.interner().get("sec").unwrap());
-        let items = idx.lookup(doc.interner().get("item").unwrap());
-        for axis in [Axis::Descendant, Axis::Child] {
-            let mut c_seq = Cost::new();
-            let seq = step_join(&doc, axis, secs, items, None, &mut c_seq);
-            for par in [
-                Parallelism::Sequential,
-                Parallelism::Threads(2),
-                Parallelism::Threads(4),
-                Parallelism::Auto,
-            ] {
-                let (pairs, cost) = run_par(&doc, axis, secs, items, par);
-                assert_eq!(pairs, seq.pairs, "{axis:?} {par:?}");
-                assert_eq!(cost, c_seq, "{axis:?} {par:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn small_input_stays_on_one_morsel() {
-        let doc = big_doc(3, 2);
-        let idx = ElementIndex::build(&doc);
-        let secs = idx.lookup(doc.interner().get("sec").unwrap());
-        let items = idx.lookup(doc.interner().get("item").unwrap());
-        let (pairs, cost) = run_par(&doc, Axis::Child, secs, items, Parallelism::Threads(8));
-        let mut c_seq = Cost::new();
-        let seq = step_join(&doc, Axis::Child, secs, items, None, &mut c_seq);
-        assert_eq!(pairs, seq.pairs);
-        assert_eq!(cost, c_seq);
     }
 }

@@ -17,14 +17,12 @@
 //! is a [`PreSet`] bitset probe — no SipHash, no per-hit binary search.
 //! The slice-based entry points build the dense structures on the fly;
 //! the edge-operator kernel ([`crate::edgeop`]) hands a cached filter set
-//! (the evaluation state's scratch arena) and a worker budget to the one
-//! crate-internal kernel-facing entry each operator has
-//! (`index_value_join_kernel`, `hash_value_join_kernel`).
+//! (the evaluation state's scratch arena) to the crate-internal
+//! `index_value_join_kernel`.
 
-use crate::cost::{Cost, MIN_PARTITION_INPUT};
+use crate::cost::Cost;
 use crate::cutoff::JoinOut;
 use rox_index::{PreSet, SymbolTable, ValueIndex};
-use rox_par::{chunk_ranges, Parallelism, WorkerPool};
 use rox_xmldb::{Document, NodeKind, Pre, Symbol};
 
 fn join_value(doc: &Document, pre: Pre) -> Symbol {
@@ -111,67 +109,15 @@ pub(crate) fn filter_set(filter: &[Pre]) -> PreSet {
     PreSet::from_nodes(universe, filter)
 }
 
-/// Probe a slice of the probe side against the CSR table, appending
-/// matches to `out` in probe order, oriented `(left, right)` per
-/// `build_left` — two array reads per probe, no hashing.
-fn probe_join_table(
-    table: &SymbolTable,
-    probe_doc: &Document,
-    probe: &[Pre],
-    build_left: bool,
-    cost: &mut Cost,
-    out: &mut Vec<(Pre, Pre)>,
-) {
-    for &p in probe {
-        cost.charge_in(1);
-        cost.charge_probe(1);
-        for &m in table.get(join_value(probe_doc, p)) {
-            cost.charge_out(1);
-            if build_left {
-                out.push((m, p));
-            } else {
-                out.push((p, m));
-            }
-        }
-    }
-}
-
 /// Hash join at the node level: all `(left, right)` pre pairs with equal
 /// values. Builds on the smaller side. (The "hash" is the interner's
 /// already-paid hash-consing: at join time the build side is a CSR table
-/// and probes are array reads.)
+/// and probes are array reads.) Pairs come out in probe order.
 pub fn hash_value_join(
     left_doc: &Document,
     left: &[Pre],
     right_doc: &Document,
     right: &[Pre],
-    cost: &mut Cost,
-) -> Vec<(Pre, Pre)> {
-    hash_value_join_kernel(
-        left_doc,
-        left,
-        right_doc,
-        right,
-        None,
-        Parallelism::Sequential,
-        cost,
-    )
-}
-
-/// As [`hash_value_join`] under a worker budget, the kernel-facing entry:
-/// the table is built once on the smaller side (sequentially — an
-/// investment either way), then the larger side is probed in contiguous
-/// morsels on `workers` (`None` = the process-shared pool) and the
-/// per-morsel outputs are concatenated in morsel order. One morsel (the
-/// calling thread) below twice [`MIN_PARTITION_INPUT`] probe tuples. Pair
-/// list, orientation, order, and cost charges are the same at any budget.
-pub(crate) fn hash_value_join_kernel(
-    left_doc: &Document,
-    left: &[Pre],
-    right_doc: &Document,
-    right: &[Pre],
-    workers: Option<&WorkerPool>,
-    par: Parallelism,
     cost: &mut Cost,
 ) -> Vec<(Pre, Pre)> {
     let build_left = left.len() <= right.len();
@@ -185,23 +131,17 @@ pub(crate) fn hash_value_join_kernel(
     let symbols: Vec<Symbol> = build.iter().map(|&p| join_value(build_doc, p)).collect();
     let table = SymbolTable::from_pairs(&symbols, build);
     let mut pairs = Vec::new();
-    let threads = par.effective_threads(probe.len(), MIN_PARTITION_INPUT);
-    if threads <= 1 {
-        probe_join_table(&table, probe_doc, probe, build_left, cost, &mut pairs);
-        return pairs;
-    }
-    let morsels = chunk_ranges(probe.len(), threads * 4);
-    let workers = workers.unwrap_or_else(|| WorkerPool::shared());
-    let runs = workers.par_map(threads, morsels.len(), |i| {
-        let mut local = Cost::new();
-        let mut out = Vec::new();
-        let morsel = &probe[morsels[i].clone()];
-        probe_join_table(&table, probe_doc, morsel, build_left, &mut local, &mut out);
-        (out, local)
-    });
-    for (out, local) in runs {
-        pairs.extend_from_slice(&out);
-        cost.add(local);
+    for &p in probe {
+        cost.charge_in(1);
+        cost.charge_probe(1);
+        for &m in table.get(join_value(probe_doc, p)) {
+            cost.charge_out(1);
+            if build_left {
+                pairs.push((m, p));
+            } else {
+                pairs.push((p, m));
+            }
+        }
     }
     pairs
 }
@@ -324,61 +264,5 @@ mod tests {
         let out = index_value_join(&da, &attrs, &ib, NodeKind::Attribute, None, None, &mut cost);
         assert_eq!(out.pairs.len(), 1);
         assert_eq!(da.value_str(attrs[out.pairs[0].0 as usize]), "2");
-    }
-
-    fn big_doc(sections: usize, items_per: usize) -> Arc<Document> {
-        let mut s = String::from("<site>");
-        for i in 0..sections {
-            s.push_str("<sec>");
-            for j in 0..items_per {
-                s.push_str(&format!("<item>v{}</item>", (i * items_per + j) % 97));
-            }
-            s.push_str("</sec>");
-        }
-        s.push_str("</site>");
-        rox_xmldb::parse_document("big.xml", &s).unwrap()
-    }
-
-    /// The kernel entry at a worker budget.
-    fn hash_join_par(
-        da: &Document,
-        ta: &[Pre],
-        db: &Document,
-        tb: &[Pre],
-        par: Parallelism,
-        cost: &mut Cost,
-    ) -> Vec<(Pre, Pre)> {
-        hash_value_join_kernel(da, ta, db, tb, None, par, cost)
-    }
-
-    #[test]
-    fn morsel_parallel_hash_join_matches_sequential() {
-        let da = big_doc(100, 40);
-        let db = big_doc(120, 35);
-        let (ta, tb) = (text_nodes(&da), text_nodes(&db));
-        let mut c_seq = Cost::new();
-        let seq = hash_value_join(&da, &ta, &db, &tb, &mut c_seq);
-        for par in [Parallelism::Threads(2), Parallelism::Threads(4)] {
-            let mut c_par = Cost::new();
-            let got = hash_join_par(&da, &ta, &db, &tb, par, &mut c_par);
-            assert_eq!(got, seq);
-            assert_eq!(c_par, c_seq);
-        }
-    }
-
-    #[test]
-    fn morsel_parallel_hash_join_respects_orientation_both_ways() {
-        let da = big_doc(100, 40); // larger
-        let db = big_doc(30, 20); // smaller
-        let (ta, tb) = (text_nodes(&da), text_nodes(&db));
-        // Build side = right (smaller): probe = left.
-        let mut c = Cost::new();
-        let seq = hash_value_join(&da, &ta, &db, &tb, &mut Cost::new());
-        let got = hash_join_par(&da, &ta, &db, &tb, Parallelism::Threads(4), &mut c);
-        assert_eq!(got, seq);
-        // And flipped.
-        let seq2 = hash_value_join(&db, &tb, &da, &ta, &mut Cost::new());
-        let got2 = hash_join_par(&db, &tb, &da, &ta, Parallelism::Threads(4), &mut c);
-        assert_eq!(got2, seq2);
     }
 }

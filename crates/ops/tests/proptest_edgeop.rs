@@ -4,14 +4,13 @@
 //! `seed_*` functions below reimplement that original dispatch logic
 //! (smaller-side direction choice, the `|small| * 8 < |large|` index-NL
 //! heuristic, forced-direction cut-off sampling) verbatim on top of the
-//! plain (sequential) operators, and every case checks the kernel against
-//! it under both `Parallelism::Sequential` and `Parallelism::Threads(2)`.
+//! plain operators, and every case checks the kernel against it.
 
 use proptest::prelude::*;
 use rox_index::ValueIndex;
 use rox_ops::{
     execute_edge_op, hash_value_join, index_value_join, step_join, Axis, Cost, DenseState,
-    EdgeClass, EdgeOpCtx, EdgeOpKind, ExecMode, Parallelism,
+    EdgeClass, EdgeOpCtx, EdgeOpKind, ExecMode,
 };
 use rox_xmldb::{Catalog, Document, NodeKind, Pre};
 use std::sync::Arc;
@@ -165,7 +164,6 @@ fn step_ctx<'a>(
     doc: &'a Document,
     t1: &'a [Pre],
     t2: &'a [Pre],
-    par: Parallelism,
 ) -> EdgeOpCtx<'a> {
     EdgeOpCtx {
         class: EdgeClass::Step(axis),
@@ -178,16 +176,13 @@ fn step_ctx<'a>(
         index2: None,
         kind1: NodeKind::Element,
         kind2: NodeKind::Element,
-        par,
-        workers: None,
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Full-mode step edges: kernel == seed dispatch, pairs and costs,
-    /// under Sequential and Threads(2).
+    /// Full-mode step edges: kernel == seed dispatch, pairs and costs.
     #[test]
     fn full_step_matches_seed_dispatch(
         blocks in prop::collection::vec((0u8..4, 0u8..3), 1..25),
@@ -202,20 +197,18 @@ proptest! {
         let all = elements(&doc);
         let t1 = subset(&all, m1);
         let t2 = subset(&all, m2);
-        for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
-            let mut seed_cost = Cost::new();
-            let expected = seed_full_step(&doc, axis, &t1, &t2, &mut seed_cost);
-            let mut kernel_cost = Cost::new();
-            let out = execute_edge_op(
-                step_ctx(ExecMode::Full, axis, &doc, &t1, &t2, par),
-                DenseState::default(),
-                &mut kernel_cost,
-            );
-            prop_assert_eq!(out.choice.kind, EdgeOpKind::StepJoin);
-            prop_assert_eq!(out.choice.outer_is_v1, t1.len() <= t2.len());
-            prop_assert_eq!(out.result.into_full(), expected);
-            prop_assert_eq!(kernel_cost, seed_cost);
-        }
+        let mut seed_cost = Cost::new();
+        let expected = seed_full_step(&doc, axis, &t1, &t2, &mut seed_cost);
+        let mut kernel_cost = Cost::new();
+        let out = execute_edge_op(
+            step_ctx(ExecMode::Full, axis, &doc, &t1, &t2),
+            DenseState::default(),
+            &mut kernel_cost,
+        );
+        prop_assert_eq!(out.choice.kind, EdgeOpKind::StepJoin);
+        prop_assert_eq!(out.choice.outer_is_v1, t1.len() <= t2.len());
+        prop_assert_eq!(out.result.into_full(), expected);
+        prop_assert_eq!(kernel_cost, seed_cost);
     }
 
     /// Sampled-mode step edges with a forced outer side and cut-off:
@@ -253,7 +246,6 @@ proptest! {
                 &doc,
                 &t1,
                 &t2,
-                Parallelism::Sequential,
             ),
             DenseState::default(),
             &mut kernel_cost,
@@ -266,7 +258,7 @@ proptest! {
     }
 
     /// Full-mode value joins: kernel == seed dispatch (including the
-    /// documented NL-vs-hash crossover), under both parallelism settings.
+    /// documented NL-vs-hash crossover).
     #[test]
     fn full_value_join_matches_seed_dispatch(
         l in prop::collection::vec(any::<u8>(), 0..40),
@@ -281,33 +273,29 @@ proptest! {
         let (ia, ib) = (ValueIndex::build(&da), ValueIndex::build(&db));
         let t1 = subset(&texts(&da), m1);
         let t2 = subset(&texts(&db), m2);
-        for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
-            let mut seed_cost = Cost::new();
-            let (expected, expected_kind) =
-                seed_full_value_join(&da, &t1, &ia, &db, &t2, &ib, &mut seed_cost);
-            let mut kernel_cost = Cost::new();
-            let out = execute_edge_op(
-                EdgeOpCtx {
-                    class: EdgeClass::ValueJoin,
-                    mode: ExecMode::Full,
-                    doc1: &da,
-                    doc2: &db,
-                    input1: &t1,
-                    input2: &t2,
-                    index1: Some(&ia),
-                    index2: Some(&ib),
-                    kind1: NodeKind::Text,
-                    kind2: NodeKind::Text,
-                    par,
-                    workers: None,
-                },
-                DenseState::default(),
-                &mut kernel_cost,
-            );
-            prop_assert_eq!(out.choice.kind, expected_kind);
-            prop_assert_eq!(out.result.into_full(), expected);
-            prop_assert_eq!(kernel_cost, seed_cost);
-        }
+        let mut seed_cost = Cost::new();
+        let (expected, expected_kind) =
+            seed_full_value_join(&da, &t1, &ia, &db, &t2, &ib, &mut seed_cost);
+        let mut kernel_cost = Cost::new();
+        let out = execute_edge_op(
+            EdgeOpCtx {
+                class: EdgeClass::ValueJoin,
+                mode: ExecMode::Full,
+                doc1: &da,
+                doc2: &db,
+                input1: &t1,
+                input2: &t2,
+                index1: Some(&ia),
+                index2: Some(&ib),
+                kind1: NodeKind::Text,
+                kind2: NodeKind::Text,
+            },
+            DenseState::default(),
+            &mut kernel_cost,
+        );
+        prop_assert_eq!(out.choice.kind, expected_kind);
+        prop_assert_eq!(out.result.into_full(), expected);
+        prop_assert_eq!(kernel_cost, seed_cost);
     }
 
     /// Sampled-mode value joins: kernel == the seed's forced-direction
@@ -356,8 +344,6 @@ proptest! {
                 index2: Some(&ib),
                 kind1: NodeKind::Text,
                 kind2: NodeKind::Text,
-                par: Parallelism::Sequential,
-                workers: None,
             },
             DenseState::default(),
             &mut kernel_cost,

@@ -1,25 +1,22 @@
 //! # Always-on work-stealing worker pool
 //!
-//! [`WorkerPool`] replaces the per-call `std::thread::scope` fan-out that
-//! `rox-par` shipped with through PR 5. Workers are spawned once, park on a
-//! condvar while idle, and are woken for two kinds of work:
+//! Workers are spawned once, park on a condvar while idle, and are woken
+//! for two kinds of work:
 //!
 //! * **jobs** — `'static` closures submitted with [`WorkerPool::execute`]
 //!   (the engine's serving path). Each worker owns an injector deque; jobs
 //!   are pushed round-robin and idle workers steal from the back of other
 //!   workers' deques.
 //! * **batches** — scoped, order-preserving [`WorkerPool::par_map`] calls
-//!   (the sampling/partitioned-join fan-out path). A batch is advertised on
-//!   a shared board; idle workers join in and claim task indices from an
+//!   (the engine's closed-loop batch path). A batch is advertised on a
+//!   shared board; idle workers join in and claim task indices from an
 //!   atomic cursor.
 //!
 //! ## Determinism contract
 //!
 //! `par_map` writes each result into a slot indexed by task id, so the
 //! returned `Vec` is bit-identical to `(0..tasks).map(f).collect()` no
-//! matter which threads ran which tasks or in what order. This is the same
-//! contract the scoped implementation had; `crates/rox`'s
-//! `proptest_parallel` equivalence suite pins it.
+//! matter which threads ran which tasks or in what order.
 //!
 //! ## Nested fan-out never deadlocks
 //!
@@ -49,11 +46,9 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-use crate::Parallelism;
 
 /// A `'static` job submitted through [`WorkerPool::execute`].
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -181,10 +176,6 @@ struct Shared {
     next_batch_id: AtomicU64,
     /// Round-robin submission cursor for `execute`.
     next_queue: AtomicUsize,
-    /// Lifetime count of task indices routed through `par_map` (including
-    /// its sequential fallbacks) — lets callers assert work was dispatched
-    /// through this pool even on single-core machines.
-    batch_tasks: AtomicU64,
     /// Parking lot. Producers bump state *then* notify while holding the
     /// lock, so a worker that re-checks for work under the lock before
     /// waiting can never miss a wakeup.
@@ -234,7 +225,6 @@ impl WorkerPool {
             batches: Mutex::new(Vec::new()),
             next_batch_id: AtomicU64::new(1),
             next_queue: AtomicUsize::new(0),
-            batch_tasks: AtomicU64::new(0),
             signal: Mutex::new(()),
             signal_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -254,25 +244,9 @@ impl WorkerPool {
         }
     }
 
-    /// The process-wide pool used by the free [`crate::par_map`] and by
-    /// standalone (non-engine) runs. Sized to the machine's logical core
-    /// count, with a floor of two so single-core containers still get one
-    /// helper next to the driving thread.
-    pub fn shared() -> &'static WorkerPool {
-        static SHARED: OnceLock<WorkerPool> = OnceLock::new();
-        SHARED.get_or_init(|| WorkerPool::new(Parallelism::Auto.threads().max(2)))
-    }
-
     /// Number of always-on worker threads.
     pub fn workers(&self) -> usize {
         self.shared.queues.len()
-    }
-
-    /// Lifetime count of task indices routed through
-    /// [`par_map`](Self::par_map), including its sequential fallbacks.
-    /// Monotone — callers assert dispatch by comparing before/after.
-    pub fn batch_tasks(&self) -> u64 {
-        self.shared.batch_tasks.load(Ordering::Relaxed)
     }
 
     /// Submit a fire-and-forget `'static` job. Jobs are distributed
@@ -307,9 +281,6 @@ impl WorkerPool {
         if tasks == 0 {
             return Vec::new();
         }
-        self.shared
-            .batch_tasks
-            .fetch_add(tasks as u64, Ordering::Relaxed);
         let max_threads = max_threads.clamp(1, tasks);
         if max_threads == 1 || tasks == 1 {
             return (0..tasks).map(f).collect();

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use rox_par::{par_map, WorkerPool};
+use rox_par::WorkerPool;
 
 /// Dropping the pool joins every worker thread: jobs submitted before the
 /// drop either ran or were discarded, and nothing runs afterwards.
@@ -88,16 +88,6 @@ fn nested_fan_out_never_deadlocks() {
             "nested fan-out stalled with {workers} workers"
         );
     }
-}
-
-/// Nested fan-out through the free function (shared pool) — the exact
-/// shape the engine produces: run_many → optimizer sampling → partitioned
-/// join, all on one pool.
-#[test]
-fn nested_fan_out_on_the_shared_pool() {
-    let outer = par_map(4, 6, |i| par_map(4, 6, |j| i + j).iter().sum::<usize>());
-    let expect: Vec<usize> = (0..6).map(|i| (0..6).map(|j| i + j).sum()).collect();
-    assert_eq!(outer, expect);
 }
 
 /// Determinism contract under contention: many concurrent par_map batches

@@ -23,7 +23,6 @@ use rand::rngs::StdRng;
 use rox_index::sample_sorted;
 use rox_joingraph::{EdgeId, VertexId};
 use rox_ops::{Cost, EdgeOpKind};
-use rox_par::Parallelism;
 use rox_xmldb::Pre;
 
 /// A path segment being explored.
@@ -70,7 +69,7 @@ pub struct ChainTrace {
 }
 
 /// Outcome of [`chain_sample`].
-pub struct ChainOutcome {
+pub(crate) struct ChainOutcome {
     /// The path segment to execute next (never empty).
     pub path: Vec<EdgeId>,
     /// Trace for explain/experiment output.
@@ -80,20 +79,11 @@ pub struct ChainOutcome {
 /// Run one chain-sampling phase (Algorithm 2). `weights[e]` holds the
 /// current edge weights (`None` = unweighted, treated as +∞).
 /// Sampling work is charged to `cost`.
-///
-/// `par` fans the per-round path extensions — one cut-off sampled operator
-/// run per (path, candidate edge) pair — out across worker threads. The
-/// extensions of one round are mutually independent (each reads the shared
-/// state immutably and feeds on its own path's input sample), and results
-/// are merged back in the sequential loop's (path, edge) order, so the
-/// outcome, trace, and cost charges are bit-identical to
-/// [`Parallelism::Sequential`].
-pub fn chain_sample(
+pub(crate) fn chain_sample(
     state: &EvalState<'_>,
     weights: &[Option<f64>],
     rng: &mut StdRng,
     tau: usize,
-    par: Parallelism,
     cost: &mut Cost,
 ) -> ChainOutcome {
     let unexecuted = state.unexecuted_edges();
@@ -168,46 +158,22 @@ pub fn chain_sample(
         }
         // Line 12: grow the cutoff to counter front bias.
         cutoff += tau;
-        // Lines 13-23: extend every extendable path by each candidate edge.
-        // All (path, edge) extensions of a round are independent sampled
-        // operator runs — execute them concurrently and merge in the
-        // deterministic (path, edge) order of the sequential loop.
-        let ext_of: Vec<Vec<EdgeId>> = paths
-            .iter()
-            .map(|p| {
-                state
-                    .unexecuted_edges_of(p.stop)
-                    .into_iter()
-                    .filter(|e| !p.edges.contains(e))
-                    .collect()
-            })
-            .collect();
-        let tasks: Vec<(usize, EdgeId)> = ext_of
-            .iter()
-            .enumerate()
-            .flat_map(|(i, exts)| exts.iter().map(move |&e| (i, e)))
-            .collect();
-        let threads = par.effective_threads(tasks.len(), 1);
-        let paths_ref = &paths;
-        let runs = state.env.workers().par_map(threads, tasks.len(), |t| {
-            let (i, e) = tasks[t];
-            let p = &paths_ref[i];
-            let mut input = p.input.clone();
-            input.sort_unstable();
-            let mut local = Cost::new();
-            let run = sampled_edge_exec(state, e, p.stop, &input, cutoff, &mut local);
-            (run, local)
-        });
+        // Lines 13-23: extend every extendable path by each candidate edge,
+        // in (path, edge) order.
         let mut next_paths: Vec<PathSeg> = Vec::new();
-        let mut run_iter = runs.into_iter();
-        for (i, p) in paths.into_iter().enumerate() {
-            if ext_of[i].is_empty() {
+        for mut p in paths {
+            let exts: Vec<EdgeId> = state
+                .unexecuted_edges_of(p.stop)
+                .into_iter()
+                .filter(|e| !p.edges.contains(e))
+                .collect();
+            if exts.is_empty() {
                 next_paths.push(p);
                 continue;
             }
-            for &e in &ext_of[i] {
-                let (run, local) = run_iter.next().expect("one run per task");
-                cost.add(local);
+            p.input.sort_unstable();
+            for e in exts {
+                let run = sampled_edge_exec(state, e, p.stop, &p.input, cutoff, cost);
                 let to = state.graph.edge(e).other(p.stop);
                 let mut edges = p.edges.clone();
                 edges.push(e);
@@ -224,7 +190,6 @@ pub fn chain_sample(
                 });
             }
         }
-        debug_assert!(run_iter.next().is_none(), "all runs consumed");
         paths = next_paths;
         trace.rounds.push(
             paths
@@ -361,14 +326,7 @@ mod tests {
         }
         let weights = vec![Some(1.0); g.edge_count()];
         let mut rng = StdRng::seed_from_u64(1);
-        let out = chain_sample(
-            &st,
-            &weights,
-            &mut rng,
-            10,
-            Parallelism::Sequential,
-            &mut Cost::new(),
-        );
+        let out = chain_sample(&st, &weights, &mut rng, 10, &mut Cost::new());
         assert_eq!(out.path.len(), 1);
         assert!(out.trace.rounds.is_empty());
     }
@@ -392,14 +350,7 @@ mod tests {
         for e in st.unexecuted_edges() {
             weights[e as usize] = crate::estimate::estimate_card(&st, e, 20, &mut cost);
         }
-        let out = chain_sample(
-            &st,
-            &weights,
-            &mut rng,
-            20,
-            Parallelism::Sequential,
-            &mut cost,
-        );
+        let out = chain_sample(&st, &weights, &mut rng, 20, &mut cost);
         assert!(!out.path.is_empty());
         // Branching exists (auction has two unexecuted edges), so rounds ran.
         assert!(!out.trace.rounds.is_empty());
@@ -428,14 +379,7 @@ mod tests {
         for e in st.unexecuted_edges() {
             weights[e as usize] = crate::estimate::estimate_card(&st, e, 20, &mut cost);
         }
-        let out = chain_sample(
-            &st,
-            &weights,
-            &mut rng,
-            20,
-            Parallelism::Sequential,
-            &mut cost,
-        );
+        let out = chain_sample(&st, &weights, &mut rng, 20, &mut cost);
         // A path extended across rounds never reduces its cost.
         for w in out.trace.rounds.windows(2) {
             for snap in &w[1] {

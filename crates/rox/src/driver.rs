@@ -4,8 +4,7 @@
 //! mid-query ([`crate::guard`]) — is a short composition of the four steps
 //! here:
 //!
-//! 1. [`RunDriver::new`] — evaluation state, worker budget, redundant
-//!    edges marked;
+//! 1. [`RunDriver::new`] — evaluation state, redundant edges marked;
 //! 2. [`RunDriver::replay_edge`] — execute one given edge, no sampling;
 //! 3. [`RunDriver::optimize_remaining`] — Algorithm 1 over whatever is
 //!    still unexecuted: Phase 1 seeds samples and weights from the
@@ -18,7 +17,7 @@
 
 use crate::chain::{chain_sample, ChainOutcome, ChainTrace};
 use crate::env::RoxEnv;
-use crate::estimate::estimate_cards;
+use crate::estimate::estimate_card;
 use crate::optimizer::{RoxOptions, RoxReport};
 use crate::state::{EdgeExec, EvalState};
 use rand::rngs::StdRng;
@@ -58,14 +57,12 @@ pub(crate) struct RunDriver<'a> {
 }
 
 impl<'a> RunDriver<'a> {
-    /// Fresh state over `env`/`graph`. `options.parallelism` governs the
-    /// whole run — sampling fan-out *and* full edge execution — whatever
-    /// budget `env` carries. Descendant steps from document roots are
-    /// semantically redundant and marked executed up front (§3.2).
+    /// Fresh state over `env`/`graph`. Descendant steps from document
+    /// roots are semantically redundant and marked executed up front
+    /// (§3.2).
     pub(crate) fn new(env: &'a RoxEnv, graph: &'a JoinGraph, options: RoxOptions) -> Self {
         let started = Instant::now();
         let mut state = EvalState::new(env, graph);
-        state.set_parallelism(options.parallelism);
         for e in graph.edges() {
             if e.redundant {
                 state.mark_executed(e.id);
@@ -126,18 +123,11 @@ impl<'a> RunDriver<'a> {
         self.optimize_loop();
     }
 
-    /// Re-sample the weights of `edges` — one independent sampled run per
-    /// edge, fanned out across the worker budget.
+    /// Re-sample the weights of `edges` — one sampled run per edge.
     fn reweigh(&mut self, edges: &[EdgeId]) {
-        let ws = estimate_cards(
-            &self.state,
-            edges,
-            self.options.tau,
-            self.options.parallelism,
-            &mut self.sample_cost,
-        );
-        for (&e, w) in edges.iter().zip(ws) {
-            self.weights[e as usize] = w;
+        for &e in edges {
+            self.weights[e as usize] =
+                estimate_card(&self.state, e, self.options.tau, &mut self.sample_cost);
         }
     }
 
@@ -174,7 +164,6 @@ impl<'a> RunDriver<'a> {
                     &self.weights,
                     &mut self.rng,
                     options.tau,
-                    options.parallelism,
                     &mut self.sample_cost,
                 )
             } else {

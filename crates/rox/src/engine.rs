@@ -38,19 +38,17 @@
 //! next replay.
 //!
 //! A query runs inside a *session* ([`RoxEngine::session`]) — a thin
-//! [`RoxEnv`] view borrowing the engine's caches — and the engine owns one
-//! always-on [`WorkerPool`] shared by **both** concurrency layers: the
-//! intra-query sampling/partitioned-join fan-out and the inter-query
-//! serving paths. [`RoxEngine::run_many`] fans a batch of queries out over
-//! that pool (results in job order), and [`RoxEngine::try_submit`] is the
-//! open-loop face: it enqueues one query behind a **bounded admission
-//! queue** ([`RoxOptions::max_queued`]) and returns an [`EngineTicket`]
-//! immediately, rejecting with [`ServeError::Overloaded`] when the queue
-//! is full — backpressure instead of unbounded buffering. Nested fan-out
-//! is deadlock-free by construction: every `par_map` caller drives its own
-//! batch, so a worker running a query that fans out inward never waits on
-//! a pool slot. Results are bit-identical to fresh standalone runs: every
-//! cached structure is value-equal to the fresh build it replaces, and
+//! [`RoxEnv`] view borrowing the engine's caches — on the thread that
+//! serves it. The engine owns one always-on [`WorkerPool`] for the
+//! inter-query serving paths: [`RoxEngine::run_many`] fans a batch of
+//! queries out over that pool (results in job order), and
+//! [`RoxEngine::try_submit`] is the open-loop face: it enqueues one query
+//! behind a **bounded admission queue** ([`RoxOptions::max_queued`]) and
+//! returns an [`EngineTicket`] immediately, rejecting with
+//! [`ServeError::Overloaded`] when the queue is full — backpressure
+//! instead of unbounded buffering. Results are bit-identical to fresh
+//! standalone runs: every cached structure is value-equal to the fresh
+//! build it replaces, and
 //! `run` with [`PlanReuse::AlwaysOptimize`] (the default) performs the
 //! exact same sampling an un-cached [`crate::run_rox`] would.
 
@@ -62,7 +60,7 @@ use crate::state::EdgeExec;
 use rox_index::IndexedStore;
 use rox_joingraph::{EdgeId, JoinGraph, VertexLabel};
 use rox_ops::{Cost, EdgeOpKind, Relation};
-use rox_par::{Parallelism, WorkerPool};
+use rox_par::WorkerPool;
 use rox_storage::wal::{DocPut, Lsn, Wal, WalIo, WalRecord, WalStats};
 use rox_storage::{
     recovery, PoolStats, RecoveryReport, SaveReport, Snapshot, SnapshotSource, StdWalIo,
@@ -550,8 +548,7 @@ pub struct RoxEngine {
     plan_hits: AtomicU64,
     plan_misses: AtomicU64,
     plan_demotions: AtomicU64,
-    /// The always-on worker pool shared by intra-query fan-out (sampling,
-    /// partitioned joins) and the inter-query serving paths.
+    /// The always-on worker pool the serving paths run queries on.
     workers: Arc<WorkerPool>,
     /// Jobs admitted through [`RoxEngine::try_submit`] but not yet
     /// started — the gauge the bounded admission queue checks.
@@ -640,14 +637,18 @@ impl std::fmt::Debug for RoxEngine {
     }
 }
 
+/// The serving pool an engine gets unless the caller brings its own: one
+/// worker per logical core, with a floor of two.
+fn machine_pool() -> Arc<WorkerPool> {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    Arc::new(WorkerPool::new(cores.max(2)))
+}
+
 impl RoxEngine {
     /// An engine over `catalog`, with all caches empty and a worker pool
     /// sized to the machine (logical core count, floor of two).
     pub fn new(catalog: Arc<Catalog>) -> Self {
-        Self::with_workers(
-            catalog,
-            Arc::new(WorkerPool::new(Parallelism::Auto.threads().max(2))),
-        )
+        Self::with_workers(catalog, machine_pool())
     }
 
     /// As [`RoxEngine::new`] with an explicit worker pool — for serving
@@ -679,11 +680,7 @@ impl RoxEngine {
             catalog,
             Arc::<SnapshotSource>::clone(&source),
         ));
-        Self::from_store(
-            store,
-            Arc::new(WorkerPool::new(Parallelism::Auto.threads().max(2))),
-            Some(source),
-        )
+        Self::from_store(store, machine_pool(), Some(source))
     }
 
     /// Persist this engine's catalog — documents, symbol heap, and the
@@ -872,13 +869,7 @@ impl RoxEngine {
     /// index store and base-list cache. Cheap enough to create per call —
     /// the only per-session work is resolving the graph's document URIs.
     pub fn session(&self, graph: &JoinGraph) -> Result<RoxEnv, EnvError> {
-        RoxEnv::from_shared(
-            Arc::clone(&self.store),
-            Arc::clone(&self.base_lists),
-            Some(Arc::clone(&self.workers)),
-            graph,
-            Parallelism::Sequential,
-        )
+        RoxEnv::from_shared(Arc::clone(&self.store), Arc::clone(&self.base_lists), graph)
     }
 
     /// Serve one query: guarded replay of the cached plan when
@@ -936,13 +927,14 @@ impl RoxEngine {
         Ok(EngineRun::new(report, fingerprint, mode, checks))
     }
 
-    /// Serve a batch of queries concurrently on the engine's worker pool
-    /// with a concurrency window of `par` threads, all against this
-    /// engine's shared caches. Results come back in job order; each job is
-    /// exactly one [`RoxEngine::run`].
+    /// Serve a batch of queries concurrently on the engine's worker pool,
+    /// with a concurrency window of the pool's worker count, all against
+    /// this engine's shared caches. Results come back in job order; each
+    /// job is exactly one [`RoxEngine::run`].
     ///
     /// The batch is closed-loop, so admission is resolved up front: all
-    /// jobs arrive at once, `par` of them start immediately, the next
+    /// jobs arrive at once, a window's worth of them start immediately, the
+    /// next
     /// [`RoxOptions::max_queued`] wait their turn, and any job deeper than
     /// that is rejected with [`ServeError::Overloaded`] — deterministic in
     /// the job index, exactly what an open-loop submitter racing a full
@@ -951,15 +943,14 @@ impl RoxEngine {
     pub fn run_many(
         &self,
         jobs: &[(&JoinGraph, RoxOptions)],
-        par: Parallelism,
     ) -> Vec<Result<EngineRun, ServeError>> {
-        let threads = par.effective_threads(jobs.len(), 1);
+        let window = self.workers.workers();
         self.jobs_submitted
             .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-        self.workers.par_map(threads, jobs.len(), |i| {
+        self.workers.par_map(window, jobs.len(), |i| {
             let (graph, options) = jobs[i];
             if let Some(max) = options.max_queued {
-                if i >= threads + max {
+                if i >= window + max {
                     self.jobs_rejected.fetch_add(1, Ordering::Relaxed);
                     return Err(ServeError::Overloaded {
                         queued: max,
@@ -1374,6 +1365,12 @@ mod tests {
         RoxEngine::new(cat)
     }
 
+    fn engine_with_workers(workers: usize) -> RoxEngine {
+        let cat = Arc::new(Catalog::new());
+        cat.load_str("d.xml", SITE).unwrap();
+        RoxEngine::with_workers(cat, Arc::new(WorkerPool::new(workers)))
+    }
+
     fn reuse() -> RoxOptions {
         RoxOptions {
             plan_reuse: PlanReuse::ReuseValidated,
@@ -1509,7 +1506,7 @@ mod tests {
 
     #[test]
     fn run_many_serves_a_mixed_batch() {
-        let engine = engine();
+        let engine = engine_with_workers(4);
         let g1 = compile_query(Q_STEP).unwrap();
         let g2 = compile_query(Q_JOIN).unwrap();
         // Seed both shapes deterministically — a concurrent cold batch may
@@ -1520,7 +1517,7 @@ mod tests {
         let jobs: Vec<(&JoinGraph, RoxOptions)> = (0..8)
             .map(|i| (if i % 2 == 0 { &g1 } else { &g2 }, reuse()))
             .collect();
-        let runs = engine.run_many(&jobs, Parallelism::Threads(4));
+        let runs = engine.run_many(&jobs);
         assert_eq!(runs.len(), 8);
         let expect1 = run_rox(Arc::clone(engine.catalog()), &g1, RoxOptions::default()).unwrap();
         let expect2 = run_rox(Arc::clone(engine.catalog()), &g2, RoxOptions::default()).unwrap();
@@ -1566,10 +1563,7 @@ mod tests {
     /// admitted ticket resolves and the counters reconcile.
     #[test]
     fn saturated_queue_rejects_with_overloaded() {
-        use rox_par::WorkerPool;
-        let cat = Arc::new(Catalog::new());
-        cat.load_str("d.xml", SITE).unwrap();
-        let engine = Arc::new(RoxEngine::with_workers(cat, Arc::new(WorkerPool::new(1))));
+        let engine = Arc::new(engine_with_workers(1));
         let g = compile_query(Q_STEP).unwrap();
 
         // Pin the single worker on a gate so admitted jobs pile up queued.
@@ -1619,11 +1613,11 @@ mod tests {
     }
 
     /// `run_many`'s closed-loop admission rule is deterministic in the job
-    /// index: with a window of `threads` and a bound of `m`, exactly the
-    /// jobs deeper than `threads + m` come back `Overloaded`.
+    /// index: with a window of `w` pool workers and a bound of `m`, exactly
+    /// the jobs deeper than `w + m` come back `Overloaded`.
     #[test]
     fn run_many_admission_is_deterministic() {
-        let engine = engine();
+        let engine = engine_with_workers(2);
         let g = compile_query(Q_STEP).unwrap();
         engine.run(&g, reuse()).unwrap();
         let options = RoxOptions {
@@ -1631,9 +1625,9 @@ mod tests {
             ..reuse()
         };
         let jobs: Vec<(&JoinGraph, RoxOptions)> = (0..6).map(|_| (&g, options)).collect();
-        // Threads(2) over 6 jobs → a window of 2, so jobs 0..3 are
+        // Two workers over 6 jobs → a window of 2, so jobs 0..3 are
         // admitted (2 running + 1 queued) and 3..6 are rejected.
-        let runs = engine.run_many(&jobs, Parallelism::Threads(2));
+        let runs = engine.run_many(&jobs);
         for (i, run) in runs.iter().enumerate() {
             if i < 3 {
                 assert!(run.is_ok(), "job {i} should be admitted");

@@ -269,8 +269,8 @@ pub fn plan_edges(
 /// operator executed in the context of a single document"), and a
 /// smallest-input-first linear order across documents, where cross-
 /// document join selectivities are unknown. The isolated prep-chain
-/// executions run through [`EvalState::execute_edge`] and hence the same
-/// edge-operator kernel as every other phase.
+/// executions run through the evaluation state's `execute_edge` and hence
+/// the same edge-operator kernel as every other phase.
 pub fn classical_join_order(env: &RoxEnv, graph: &JoinGraph, star: &StarQuery) -> JoinOrder {
     // Exact per-document constrained cardinality of each value vertex:
     // execute the member's prep chain in isolation (single-document work a

@@ -20,7 +20,6 @@
 use crate::engine::BaseListCache;
 use rox_index::IndexedStore;
 use rox_joingraph::{JoinGraph, VertexId, VertexLabel};
-use rox_par::{Parallelism, WorkerPool};
 use rox_xmldb::{Catalog, DocId, Document, NodeKind, Pre};
 use std::sync::{Arc, RwLock};
 
@@ -35,18 +34,6 @@ pub struct RoxEnv {
     /// vertex → base list, the per-query fast path onto `shared_lists`
     /// (saves re-keying the label on every `card`/`table_or_base` call).
     vertex_lists: RwLock<Vec<Option<Arc<Vec<Pre>>>>>,
-    /// Default worker-thread budget for full edge executions: the
-    /// partitioned staircase/hash joins in [`crate::state`] split their
-    /// probe inputs into morsels when this allows more than one thread.
-    /// Fixed at construction: optimizing and guarded runs override it per
-    /// run through [`crate::RoxOptions::parallelism`] (so a shared engine
-    /// never needs `&mut` access); plan replays
-    /// ([`crate::run_plan_with_env`]) run under it as is.
-    parallelism: Parallelism,
-    /// The worker pool full edge executions fan out on — the owning
-    /// engine's always-on pool, or `None` for standalone environments
-    /// (which run on the process-shared pool).
-    workers: Option<Arc<WorkerPool>>,
 }
 
 /// An environment construction error (unknown document, ...).
@@ -73,28 +60,15 @@ impl std::fmt::Debug for RoxEnv {
 }
 
 impl RoxEnv {
-    /// Resolve every vertex of `graph` against `catalog` (sequential
-    /// execution; see [`RoxEnv::with_parallelism`]). The environment gets
-    /// private caches; to share indexes and base lists across queries,
-    /// create it through [`RoxEngine::session`](crate::RoxEngine::session)
-    /// instead.
+    /// Resolve every vertex of `graph` against `catalog`. The environment
+    /// gets private caches; to share indexes and base lists across
+    /// queries, create it through
+    /// [`RoxEngine::session`](crate::RoxEngine::session) instead.
     pub fn new(catalog: Arc<Catalog>, graph: &JoinGraph) -> Result<Self, EnvError> {
-        Self::with_parallelism(catalog, graph, Parallelism::Sequential)
-    }
-
-    /// As [`RoxEnv::new`] with an explicit default worker-thread budget
-    /// for full edge executions.
-    pub fn with_parallelism(
-        catalog: Arc<Catalog>,
-        graph: &JoinGraph,
-        parallelism: Parallelism,
-    ) -> Result<Self, EnvError> {
         Self::from_shared(
             Arc::new(IndexedStore::new(catalog)),
             Arc::new(BaseListCache::new()),
-            None,
             graph,
-            parallelism,
         )
     }
 
@@ -104,9 +78,7 @@ impl RoxEnv {
     pub(crate) fn from_shared(
         store: Arc<IndexedStore>,
         shared_lists: Arc<BaseListCache>,
-        workers: Option<Arc<WorkerPool>>,
         graph: &JoinGraph,
-        parallelism: Parallelism,
     ) -> Result<Self, EnvError> {
         let mut vertex_doc = Vec::with_capacity(graph.vertex_count());
         for v in graph.vertices() {
@@ -123,23 +95,7 @@ impl RoxEnv {
             shared_lists,
             vertex_lists: RwLock::new(vec![None; vertex_doc.len()]),
             vertex_doc,
-            parallelism,
-            workers,
         })
-    }
-
-    /// The default worker-thread budget for full edge executions.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    /// The worker pool intra-query fan-outs (sampling, partitioned joins)
-    /// run on: the owning engine's pool, or the process-shared one for
-    /// standalone environments.
-    pub fn workers(&self) -> &WorkerPool {
-        self.workers
-            .as_deref()
-            .unwrap_or_else(|| WorkerPool::shared())
     }
 
     /// The indexed store.
@@ -288,15 +244,8 @@ mod tests {
             compile_query(r#"for $x in doc("d.xml")//item, $q in $x/quantity return $q"#).unwrap();
         let store = Arc::new(IndexedStore::new(cat));
         let lists = Arc::new(BaseListCache::new());
-        let env1 = RoxEnv::from_shared(
-            Arc::clone(&store),
-            Arc::clone(&lists),
-            None,
-            &g1,
-            Parallelism::Sequential,
-        )
-        .unwrap();
-        let env2 = RoxEnv::from_shared(store, lists, None, &g2, Parallelism::Sequential).unwrap();
+        let env1 = RoxEnv::from_shared(Arc::clone(&store), Arc::clone(&lists), &g1).unwrap();
+        let env2 = RoxEnv::from_shared(store, lists, &g2).unwrap();
         let item1 = g1.var_vertices["i"];
         let item2 = g2.var_vertices["x"];
         let a = env1.base_list(&g1, item1);

@@ -18,12 +18,11 @@
 use crate::state::EvalState;
 use rox_joingraph::{EdgeId, VertexId};
 use rox_ops::{execute_edge_op, Cost, DenseState, EdgeOpCtx, EdgeOpKind, ExecMode};
-use rox_par::Parallelism;
 use rox_xmldb::Pre;
 
 /// Output of one sampled edge execution.
 #[derive(Debug, Clone)]
-pub struct SampledExec {
+pub(crate) struct SampledExec {
     /// Result nodes (the `v′` side of produced pairs, multiplicity kept,
     /// in context order) — the `I(p′)` input of the next chain round.
     pub output: Vec<Pre>,
@@ -36,7 +35,7 @@ pub struct SampledExec {
 /// Execute edge `e` on a *sample* of nodes of `from` (the outer side),
 /// cutting off at `limit` produced pairs. `input` must be sorted on pre
 /// (duplicates allowed — chain sampling feeds flow-through outputs).
-pub fn sampled_edge_exec(
+pub(crate) fn sampled_edge_exec(
     state: &EvalState<'_>,
     e: EdgeId,
     from: VertexId,
@@ -76,11 +75,6 @@ pub fn sampled_edge_exec(
                 index2: to_index,
                 kind1: from_kind,
                 kind2: to_kind,
-                // Cut-off execution is inherently sequential (§2.3);
-                // sampling parallelizes one level up, across candidate
-                // edges.
-                par: Parallelism::Sequential,
-                workers: None,
             },
             DenseState {
                 set2: to_set.as_deref(),
@@ -100,8 +94,6 @@ pub fn sampled_edge_exec(
                 index2: None,
                 kind1: to_kind,
                 kind2: from_kind,
-                par: Parallelism::Sequential,
-                workers: None,
             },
             DenseState {
                 set1: to_set.as_deref(),
@@ -122,7 +114,12 @@ pub fn sampled_edge_exec(
 /// node-level result cardinality on the current `T` tables. Returns `None`
 /// when neither endpoint has a sample yet (the edge "stays unweighted for
 /// now", §3 Phase 1).
-pub fn estimate_card(state: &EvalState<'_>, e: EdgeId, tau: usize, cost: &mut Cost) -> Option<f64> {
+pub(crate) fn estimate_card(
+    state: &EvalState<'_>,
+    e: EdgeId,
+    tau: usize,
+    cost: &mut Cost,
+) -> Option<f64> {
     let edge = state.graph.edge(e);
     // Choose the sampled endpoint: the smaller-cardinality one among those
     // that actually have a sample ("a sample from a smaller table provides
@@ -143,38 +140,6 @@ pub fn estimate_card(state: &EvalState<'_>, e: EdgeId, tau: usize, cost: &mut Co
     let run = sampled_edge_exec(state, e, from, s, tau, cost);
     let scale = state.card(from) as f64 / s.len() as f64;
     Some(run.est * scale)
-}
-
-/// Weigh a batch of candidate edges, fanning the independent sampled
-/// operator runs out across `par` worker threads (the parallel candidate
-/// sampling phase). Each edge's [`estimate_card`] reads the shared
-/// evaluation state immutably and charges a thread-local [`Cost`]; results
-/// and cost charges are merged back **in edge order**, so the returned
-/// weights and the `cost` totals are bit-identical to calling
-/// [`estimate_card`] sequentially over `edges` — regardless of thread
-/// count or scheduling. Duplicate edge ids are estimated once each, like a
-/// sequential loop would.
-pub fn estimate_cards(
-    state: &EvalState<'_>,
-    edges: &[EdgeId],
-    tau: usize,
-    par: Parallelism,
-    cost: &mut Cost,
-) -> Vec<Option<f64>> {
-    // Every task is a full sampled operator run — coarse enough that one
-    // task per thread already pays for the fan-out.
-    let threads = par.effective_threads(edges.len(), 1);
-    let runs = state.env.workers().par_map(threads, edges.len(), |i| {
-        let mut local = Cost::new();
-        let w = estimate_card(state, edges[i], tau, &mut local);
-        (w, local)
-    });
-    runs.into_iter()
-        .map(|(w, local)| {
-            cost.add(local);
-            w
-        })
-        .collect()
 }
 
 #[cfg(test)]

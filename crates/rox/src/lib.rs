@@ -21,9 +21,7 @@
 //! * [`state`] — fully-materialized edge execution over components, routed
 //!   through the physical edge-operator kernel (`rox_ops::edgeop`), which
 //!   records the chosen [`EdgeOpKind`] per executed edge;
-//! * [`estimate`] — cut-off sampled operator execution + `EstimateCard`,
-//!   including the parallel candidate-sampling fan-out
-//!   ([`estimate_cards`]);
+//! * `estimate` — cut-off sampled operator execution + `EstimateCard`;
 //! * [`chain`] — chain sampling (Algorithm 2);
 //! * [`optimizer`] — the run-time optimizer (Algorithm 1): options, report
 //!   and entry points over the crate's one run driver, which plan replay
@@ -54,7 +52,7 @@ mod driver;
 pub mod engine;
 pub mod enumerate;
 pub mod env;
-pub mod estimate;
+mod estimate;
 pub mod explain;
 pub mod guard;
 pub mod naive;
@@ -72,12 +70,10 @@ pub use enumerate::{
     Placement, StarQuery,
 };
 pub use env::{EnvError, RoxEnv};
-pub use estimate::estimate_cards;
 pub use guard::{CheckKind, EdgeExpectation, SpotCheck};
 pub use naive::naive_evaluate;
 pub use optimizer::{run_rox, run_rox_with_env, RoxOptions, RoxReport};
 pub use plan::{run_plan, run_plan_with_env, validate_plan, PlanError, PlanRun};
 pub use rox_ops::EdgeOpKind;
-pub use rox_par::Parallelism;
 pub use rox_storage::{RecoveryReport, WalStats};
-pub use state::{EdgeExec, EvalState};
+pub use state::EdgeExec;

@@ -3,7 +3,7 @@
 //!
 //! Phase 1 seeds per-vertex samples and cardinalities from the indices and
 //! weights every edge by sampled execution. Phase 2 alternates
-//! [`chain_sample`](crate::chain::chain_sample()) (search-space exploration)
+//! chain sampling ([`crate::chain`], search-space exploration)
 //! with full execution of the superior path segment, re-sampling the
 //! weights of all edges incident to updated vertices after every execution
 //! — re-sampling, not scaling, is what lets ROX "detect arbitrary
@@ -18,7 +18,6 @@ use crate::env::{EnvError, RoxEnv};
 use crate::state::EdgeExec;
 use rox_joingraph::{EdgeId, JoinGraph};
 use rox_ops::{Cost, Relation};
-use rox_par::Parallelism;
 use rox_xmldb::Catalog;
 use std::sync::Arc;
 use std::time::Duration;
@@ -48,15 +47,6 @@ pub struct RoxOptions {
     /// dominates the run. `None` (default) reproduces the paper's
     /// always-explore behaviour.
     pub effort_budget: Option<f64>,
-    /// Extension: worker-thread budget. Candidate sampling (Phase 1
-    /// weighting, chain-sampling extensions, post-execution re-weighting)
-    /// fans its independent cut-off operator runs out across this many
-    /// threads, and full edge executions use the partitioned staircase /
-    /// hash joins. Results are **bit-identical** to
-    /// [`Parallelism::Sequential`] — same outputs, same chosen join order,
-    /// same cost counters (the equivalence proptest in `tests/` checks
-    /// this). The default reproduces the paper's single-threaded setting.
-    pub parallelism: Parallelism,
     /// Extension: plan-cache policy, honoured by
     /// [`RoxEngine::run`](crate::RoxEngine::run) (a direct [`run_rox`]
     /// call has no plan cache and always optimizes, whatever this says).
@@ -67,8 +57,9 @@ pub struct RoxOptions {
     /// rejects a job (`ServeError::Overloaded`) once `m` admitted jobs are
     /// already waiting to start, and
     /// [`RoxEngine::run_many`](crate::RoxEngine::run_many) rejects the
-    /// jobs deeper than `threads + m` in its batch — explicit backpressure
-    /// instead of unbounded buffering. `None` (default) admits everything.
+    /// jobs deeper than `w + m` in its batch, where `w` is the engine
+    /// pool's worker count — explicit backpressure instead of unbounded
+    /// buffering. `None` (default) admits everything.
     pub max_queued: Option<usize>,
 }
 
@@ -81,7 +72,6 @@ impl Default for RoxOptions {
             chain_sampling: true,
             resample: true,
             effort_budget: None,
-            parallelism: Parallelism::Sequential,
             plan_reuse: crate::engine::PlanReuse::AlwaysOptimize,
             max_queued: None,
         }
@@ -133,16 +123,12 @@ pub fn run_rox(
     graph: &JoinGraph,
     options: RoxOptions,
 ) -> Result<RoxReport, EnvError> {
-    let env = RoxEnv::with_parallelism(catalog, graph, options.parallelism)?;
+    let env = RoxEnv::new(catalog, graph)?;
     run_rox_with_env(&env, graph, options)
 }
 
 /// As [`run_rox`] but reusing an existing environment (index caches stay
 /// warm across runs — how the experiment harnesses amortize setup).
-/// `options.parallelism` governs the whole run — sampling fan-out *and*
-/// full edge execution — overriding whatever parallelism `env` carries
-/// (the env knob still applies to plan replays and baselines driven
-/// through [`crate::run_plan_with_env`]).
 pub fn run_rox_with_env(
     env: &RoxEnv,
     graph: &JoinGraph,

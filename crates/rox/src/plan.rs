@@ -96,21 +96,14 @@ pub fn run_plan(
     run_plan_with_env(&env, graph, order)
 }
 
-/// As [`run_plan`] with a reusable environment. Full edge executions run
-/// under the environment's worker budget
-/// ([`RoxEnv::with_parallelism`]) — relations, edge log, and cost counters
-/// are identical at any setting.
+/// As [`run_plan`] with a reusable environment.
 pub fn run_plan_with_env(
     env: &RoxEnv,
     graph: &JoinGraph,
     order: &[EdgeId],
 ) -> Result<PlanRun, PlanError> {
     validate_plan(graph, order)?;
-    let options = RoxOptions {
-        parallelism: env.parallelism(),
-        ..RoxOptions::default()
-    };
-    let mut driver = RunDriver::new(env, graph, options);
+    let mut driver = RunDriver::new(env, graph, RoxOptions::default());
     for &e in order {
         driver.replay_edge(e);
     }

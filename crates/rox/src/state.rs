@@ -24,7 +24,8 @@ use rox_ops::{
     edge_predicate, execute_edge_op, Cost, DenseState, EdgeOpCtx, EdgeOpKind, ExecMode, Relation,
 };
 use rox_xmldb::{NodeKind, Pre};
-use std::sync::{Arc, RwLock};
+use std::cell::RefCell;
+use std::sync::Arc;
 
 /// One executed edge: the size of the component relation it produced and
 /// the physical operator the kernel chose for it (the per-edge record
@@ -66,68 +67,60 @@ impl EdgeExec {
 /// would otherwise rebuild for every run on the same unchanged vertex
 /// table.
 ///
-/// Entries are built lazily by estimates ([`EvalState::vertex_set`])
-/// behind a shared lock (the parallel candidate sampling fan-out reads the
-/// state concurrently), only *peeked* at by full execution, and
+/// Entries are built lazily by estimates ([`EvalState::vertex_set`]),
+/// only *peeked* at by full execution, and
 /// **invalidated on every write to `T(v)`** — the one rule that keeps a
 /// cached set interchangeable with a fresh build. Reuse never changes
 /// results *or* cost counters: bitset membership is uncharged (as the
 /// binary search it replaced was).
 struct Scratch {
     /// vertex → membership bitset over `table_or_base(v)`.
-    sets: RwLock<Vec<Option<Arc<PreSet>>>>,
+    sets: RefCell<Vec<Option<Arc<PreSet>>>>,
 }
 
 impl Scratch {
     fn new(vertices: usize) -> Self {
         Scratch {
-            sets: RwLock::new(vec![None; vertices]),
+            sets: RefCell::new(vec![None; vertices]),
         }
     }
 
     /// The cached set of `v`, if an estimate built one since the last
     /// `T(v)` write.
     fn peek(&self, v: VertexId) -> Option<Arc<PreSet>> {
-        self.sets.read().expect("scratch sets")[v as usize].clone()
+        self.sets.borrow()[v as usize].clone()
     }
 
     /// Drop the cached set of `v` (call on every `T(v)` write).
     fn invalidate(&self, v: VertexId) {
-        self.sets.write().expect("scratch sets")[v as usize] = None;
+        self.sets.borrow_mut()[v as usize] = None;
     }
 }
 
 /// Mutable evaluation state over one graph and environment.
-pub struct EvalState<'a> {
+pub(crate) struct EvalState<'a> {
     /// The environment (documents + indices).
-    pub env: &'a RoxEnv,
+    pub(crate) env: &'a RoxEnv,
     /// The Join Graph being evaluated.
-    pub graph: &'a JoinGraph,
+    pub(crate) graph: &'a JoinGraph,
     comp_of: Vec<Option<usize>>,
     components: Vec<Option<Relation>>,
     t: Vec<Option<Arc<Vec<Pre>>>>,
     card: Vec<Option<usize>>,
     sample: Vec<Option<Arc<Vec<Pre>>>>,
     executed: Vec<bool>,
-    /// Worker-thread budget for full edge executions (the partitioned
-    /// staircase/hash joins). Initialized from the environment; callers
-    /// with their own knob (e.g. `run_rox_with_env`) override it via
-    /// [`EvalState::set_parallelism`].
-    parallelism: rox_par::Parallelism,
     /// Reusable membership bitset per vertex, invalidated whenever `T(v)`
     /// changes.
     scratch: Scratch,
     /// Work done by full edge executions.
-    pub exec_cost: Cost,
+    pub(crate) exec_cost: Cost,
     /// Log of executed edges with result sizes, in execution order.
-    pub edge_log: Vec<EdgeExec>,
+    pub(crate) edge_log: Vec<EdgeExec>,
 }
 
 impl<'a> EvalState<'a> {
-    /// Fresh state; nothing materialized, nothing executed. Full edge
-    /// execution inherits the environment's [`rox_par::Parallelism`]
-    /// budget.
-    pub fn new(env: &'a RoxEnv, graph: &'a JoinGraph) -> Self {
+    /// Fresh state; nothing materialized, nothing executed.
+    pub(crate) fn new(env: &'a RoxEnv, graph: &'a JoinGraph) -> Self {
         let nv = graph.vertex_count();
         EvalState {
             env,
@@ -138,39 +131,31 @@ impl<'a> EvalState<'a> {
             card: vec![None; nv],
             sample: vec![None; nv],
             executed: vec![false; graph.edge_count()],
-            parallelism: env.parallelism(),
             scratch: Scratch::new(nv),
             exec_cost: Cost::new(),
             edge_log: Vec::new(),
         }
     }
 
-    /// Override the worker-thread budget for this state's full edge
-    /// executions (results are identical at any setting; only wall time
-    /// changes).
-    pub fn set_parallelism(&mut self, parallelism: rox_par::Parallelism) {
-        self.parallelism = parallelism;
-    }
-
     /// Has edge `e` been executed (or skipped as redundant)?
-    pub fn is_executed(&self, e: EdgeId) -> bool {
+    pub(crate) fn is_executed(&self, e: EdgeId) -> bool {
         self.executed[e as usize]
     }
 
     /// Mark an edge executed without running it (redundant root steps).
-    pub fn mark_executed(&mut self, e: EdgeId) {
+    pub(crate) fn mark_executed(&mut self, e: EdgeId) {
         self.executed[e as usize] = true;
     }
 
     /// Ids of unexecuted edges.
-    pub fn unexecuted_edges(&self) -> Vec<EdgeId> {
+    pub(crate) fn unexecuted_edges(&self) -> Vec<EdgeId> {
         (0..self.graph.edge_count() as EdgeId)
             .filter(|&e| !self.executed[e as usize])
             .collect()
     }
 
     /// Unexecuted edges incident to `v` (the paper's `edges(v)`).
-    pub fn unexecuted_edges_of(&self, v: VertexId) -> Vec<EdgeId> {
+    pub(crate) fn unexecuted_edges_of(&self, v: VertexId) -> Vec<EdgeId> {
         self.graph
             .edges_of(v)
             .iter()
@@ -179,15 +164,10 @@ impl<'a> EvalState<'a> {
             .collect()
     }
 
-    /// `T(v)` if materialized.
-    pub fn table(&self, v: VertexId) -> Option<&Arc<Vec<Pre>>> {
-        self.t[v as usize].as_ref()
-    }
-
     /// `T(v)` if materialized, else the vertex base list (the index lookup
     /// the execution would initialize `T(v)` with) — what sampled
     /// estimation probes as the "inner" side.
-    pub fn table_or_base(&self, v: VertexId) -> Arc<Vec<Pre>> {
+    pub(crate) fn table_or_base(&self, v: VertexId) -> Arc<Vec<Pre>> {
         match &self.t[v as usize] {
             Some(t) => Arc::clone(t),
             None => self.env.base_list(self.graph, v),
@@ -195,7 +175,7 @@ impl<'a> EvalState<'a> {
     }
 
     /// `card(v)`: materialized count if available, else the base count.
-    pub fn card(&self, v: VertexId) -> usize {
+    pub(crate) fn card(&self, v: VertexId) -> usize {
         match self.card[v as usize] {
             Some(c) => c,
             None => self.env.base_count(self.graph, v),
@@ -203,7 +183,7 @@ impl<'a> EvalState<'a> {
     }
 
     /// `S(v)` if present.
-    pub fn sample(&self, v: VertexId) -> Option<&Arc<Vec<Pre>>> {
+    pub(crate) fn sample(&self, v: VertexId) -> Option<&Arc<Vec<Pre>>> {
         self.sample[v as usize].as_ref()
     }
 
@@ -211,13 +191,13 @@ impl<'a> EvalState<'a> {
     /// once per `T(v)` version and shared across every sampled operator
     /// run until the table changes — the scratch-arena counterpart of the
     /// inner filter every index nested-loop value join probes.
-    pub fn vertex_set(&self, v: VertexId) -> Arc<PreSet> {
+    pub(crate) fn vertex_set(&self, v: VertexId) -> Arc<PreSet> {
         if let Some(set) = self.scratch.peek(v) {
             return set;
         }
         let nodes = self.table_or_base(v);
         let set = Arc::new(PreSet::from_nodes(self.env.doc(v).node_count(), &nodes));
-        self.scratch.sets.write().expect("scratch sets")[v as usize] = Some(Arc::clone(&set));
+        self.scratch.sets.borrow_mut()[v as usize] = Some(Arc::clone(&set));
         set
     }
 
@@ -226,7 +206,7 @@ impl<'a> EvalState<'a> {
     /// once an executed prefix has reduced it (the sample Algorithm 1 would
     /// hold had it arrived at this state itself; mid-query demotion
     /// restarts Phase 1 this way).
-    pub fn seed_sample(&mut self, v: VertexId, rng: &mut StdRng, tau: usize) {
+    pub(crate) fn seed_sample(&mut self, v: VertexId, rng: &mut StdRng, tau: usize) {
         let t = self.table_or_base(v);
         self.sample[v as usize] = Some(Arc::new(sample_sorted(rng, &t, tau)));
     }
@@ -252,7 +232,7 @@ impl<'a> EvalState<'a> {
     /// re-weighted, Algorithm 1 lines 18–19). When `sampler` is given,
     /// `S(v)` of changed vertices is refreshed (line 16); replays pass
     /// `None` and skip sampling entirely.
-    pub fn execute_edge(
+    pub(crate) fn execute_edge(
         &mut self,
         e: EdgeId,
         mut sampler: Option<(&mut StdRng, usize)>,
@@ -362,8 +342,6 @@ impl<'a> EvalState<'a> {
                 index2: indexes.as_ref().map(|(_, i2)| &i2.value),
                 kind1,
                 kind2,
-                par: self.parallelism,
-                workers: Some(self.env.workers()),
             },
             dense,
             &mut self.exec_cost,
@@ -394,7 +372,7 @@ impl<'a> EvalState<'a> {
     /// Finish evaluation: materialize every non-root vertex that only had
     /// redundant edges, then return the full join as the product of the
     /// remaining components (they are unconstrained w.r.t. each other).
-    pub fn finalize(&mut self) -> Relation {
+    pub(crate) fn finalize(&mut self) -> Relation {
         for v in self.graph.vertices() {
             if matches!(v.label, VertexLabel::Root) {
                 continue;
@@ -428,7 +406,7 @@ impl<'a> EvalState<'a> {
     }
 
     /// The node kind of a vertex (text/attr distinction for value joins).
-    pub fn vertex_kind(&self, v: VertexId) -> NodeKind {
+    pub(crate) fn vertex_kind(&self, v: VertexId) -> NodeKind {
         RoxEnv::vertex_kind(&self.graph.vertex(v).label)
     }
 }

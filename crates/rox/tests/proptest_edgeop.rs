@@ -3,17 +3,16 @@
 //! full edge execution, plan replay, the naive oracle) routed through
 //! `rox_ops::edgeop`, a ROX run must stay
 //!
-//! * **internally deterministic** — bit-identical output, join order, edge
-//!   log (including the per-edge operator choices), and cost counters
-//!   under `Parallelism::Sequential` and `Parallelism::Threads(2)`;
+//! * **internally deterministic** — a second run over the same (now warm)
+//!   environment reproduces output, join order, edge log (including the
+//!   per-edge operator choices), and cost counters bit for bit;
 //! * **replayable** — replaying the executed order through the plan layer
 //!   reproduces the same relations, edge log, and operator choices; and
 //! * **correct** — equal to the kernel-independent naive oracle's output.
 
 use proptest::prelude::*;
 use rox_core::{
-    naive_evaluate, run_plan_with_env, run_rox_with_env, EdgeOpKind, Parallelism, RoxEnv,
-    RoxOptions,
+    naive_evaluate, run_plan_with_env, run_rox_with_env, EdgeOpKind, RoxEnv, RoxOptions,
 };
 use rox_xmldb::Catalog;
 use std::sync::Arc;
@@ -80,49 +79,39 @@ fn check(site: &str, reg: &str, qi: usize, seed: u64) -> Result<(), String> {
         ..Default::default()
     };
     let seq = run_rox_with_env(&env, &graph, base).unwrap();
-    let par = run_rox_with_env(
-        &env,
-        &graph,
-        RoxOptions {
-            parallelism: Parallelism::Threads(2),
-            ..base
-        },
-    )
-    .unwrap();
+    let again = run_rox_with_env(&env, &graph, base).unwrap();
 
-    // 1. Sequential and Threads(2) are bit-identical, operator log
+    // 1. A rerun on the warm environment is bit-identical, operator log
     //    included.
-    if par.output != seq.output {
-        return Err("outputs differ across parallelism".into());
+    if again.output != seq.output {
+        return Err("outputs differ across runs".into());
     }
-    if par.executed_order != seq.executed_order {
-        return Err("join orders differ across parallelism".into());
+    if again.executed_order != seq.executed_order {
+        return Err("join orders differ across runs".into());
     }
-    if par.edge_log != seq.edge_log {
+    if again.edge_log != seq.edge_log {
         return Err("edge logs (incl. operator choices) differ".into());
     }
-    if par.exec_cost != seq.exec_cost || par.sample_cost != seq.sample_cost {
-        return Err("cost counters differ across parallelism".into());
+    if again.exec_cost != seq.exec_cost || again.sample_cost != seq.sample_cost {
+        return Err("cost counters differ across runs".into());
     }
-    for (a, b) in par.traces.iter().zip(&seq.traces) {
+    for (a, b) in again.traces.iter().zip(&seq.traces) {
         if a.rounds != b.rounds {
             return Err("chain traces (incl. operator tags) differ".into());
         }
     }
 
-    // 2. Plan replay through the same kernel reproduces the run exactly —
-    //    including which physical operator each edge used.
-    for replay_par in [Parallelism::Sequential, Parallelism::Threads(2)] {
-        let replay_env =
-            RoxEnv::with_parallelism(Arc::clone(&catalog), &graph, replay_par).unwrap();
-        let replay = run_plan_with_env(&replay_env, &graph, &seq.executed_order)
-            .map_err(|e| e.to_string())?;
-        if replay.output != seq.output {
-            return Err("replay output differs".into());
-        }
-        if replay.edge_log != seq.edge_log {
-            return Err("replay edge log / operator choices differ".into());
-        }
+    // 2. Plan replay through the same kernel, on a fresh environment,
+    //    reproduces the run exactly — including which physical operator
+    //    each edge used.
+    let replay_env = RoxEnv::new(Arc::clone(&catalog), &graph).unwrap();
+    let replay =
+        run_plan_with_env(&replay_env, &graph, &seq.executed_order).map_err(|e| e.to_string())?;
+    if replay.output != seq.output {
+        return Err("replay output differs".into());
+    }
+    if replay.edge_log != seq.edge_log {
+        return Err("replay edge log / operator choices differ".into());
     }
 
     // 3. The kernel-independent oracle agrees on the output.

@@ -9,15 +9,15 @@
 //! let a plan versioned against dropped statistics be served.
 
 use proptest::prelude::*;
-use rox_core::{run_rox, Parallelism, PlanReuse, RoxEngine, RoxOptions, RunMode};
+use rox_core::{run_rox, PlanReuse, RoxEngine, RoxOptions, RunMode};
 use rox_joingraph::JoinGraph;
 use rox_ops::revalidation_budget;
+use rox_par::WorkerPool;
 use rox_xmldb::Catalog;
 use std::sync::Arc;
 
-/// Random auction-flavoured document (same family as
-/// `proptest_parallel.rs`: branchy enough for chain sampling, with value
-/// joins whose NL/hash choice is data-driven).
+/// Random auction-flavoured document: branchy enough for chain sampling,
+/// with value joins whose NL/hash choice is data-driven.
 fn doc_strategy() -> impl Strategy<Value = String> {
     prop::collection::vec((0u8..5, 0u8..7, any::<bool>()), 1..30).prop_map(|blocks| {
         let mut s = String::from("<site>");
@@ -74,19 +74,20 @@ fn options(seed: u64) -> RoxOptions {
     }
 }
 
-/// One shared engine, a concurrent mixed workload, fresh-run oracle.
-fn check_concurrent_mix(xml: &str, jobs: &[(usize, u64)], threads: usize) -> Result<(), String> {
+/// One shared engine on a pool of `workers` threads, a concurrent mixed
+/// workload, fresh-run oracle.
+fn check_concurrent_mix(xml: &str, jobs: &[(usize, u64)], workers: usize) -> Result<(), String> {
     let catalog = catalog_for(xml);
     let graphs: Vec<JoinGraph> = QUERIES
         .iter()
         .map(|q| rox_joingraph::compile_query(q).unwrap())
         .collect();
-    let engine = RoxEngine::new(Arc::clone(&catalog));
+    let engine = RoxEngine::with_workers(Arc::clone(&catalog), Arc::new(WorkerPool::new(workers)));
     let engine_jobs: Vec<(&JoinGraph, RoxOptions)> = jobs
         .iter()
         .map(|&(qi, seed)| (&graphs[qi], options(seed)))
         .collect();
-    let served = engine.run_many(&engine_jobs, Parallelism::Threads(threads));
+    let served = engine.run_many(&engine_jobs);
     for (i, (&(qi, seed), run)) in jobs.iter().zip(served).enumerate() {
         let run = run.map_err(|e| e.to_string())?;
         // Oracle: a completely fresh, sequential, cache-less run.
@@ -177,10 +178,11 @@ proptest! {
     fn shared_engine_mix_matches_fresh_sequential_runs(
         xml in doc_strategy(),
         jobs in prop::collection::vec((0usize..4, 0u64..500), 1..10),
-        threads in 2usize..9,
     ) {
-        let r = check_concurrent_mix(&xml, &jobs, threads);
-        prop_assert!(r.is_ok(), "{} (threads {threads})", r.unwrap_err());
+        for workers in [2, 4, 8] {
+            let r = check_concurrent_mix(&xml, &jobs, workers);
+            prop_assert!(r.is_ok(), "{} (workers {workers})", r.unwrap_err());
+        }
     }
 
     #[test]
@@ -216,7 +218,7 @@ fn warm_engine_does_zero_redundant_work_across_a_mix() {
         .iter()
         .map(|q| rox_joingraph::compile_query(q).unwrap())
         .collect();
-    let engine = RoxEngine::new(catalog);
+    let engine = RoxEngine::with_workers(catalog, Arc::new(WorkerPool::new(4)));
     let opts = RoxOptions {
         plan_reuse: PlanReuse::ReuseValidated,
         ..options(42)
@@ -235,7 +237,7 @@ fn warm_engine_does_zero_redundant_work_across_a_mix() {
     let jobs: Vec<(&JoinGraph, RoxOptions)> = (0..3)
         .flat_map(|_| graphs.iter().map(|g| (g, opts)))
         .collect();
-    let served = engine.run_many(&jobs, Parallelism::Threads(4));
+    let served = engine.run_many(&jobs);
     for (i, run) in served.into_iter().enumerate() {
         let run = run.unwrap();
         let cold = &firsts[i % graphs.len()];

@@ -10,11 +10,10 @@
 //!
 //! * [`xmldb`] — storage substrate (shredding, pre/size/level encoding);
 //! * [`index`] — element and value indices;
-//! * [`ops`] — staircase joins, value joins, cut-off sampling, and their
-//!   morsel-partitioned parallel variants;
+//! * [`ops`] — staircase joins, value joins, cut-off sampling;
 //! * [`joingraph`] — XQuery front end and Join Graph isolation;
-//! * [`par`] — the morsel-driven parallel execution substrate
-//!   ([`par::Parallelism`], order-preserving `par_map`);
+//! * [`par`] — the always-on worker pool the serving engine runs on
+//!   ([`par::WorkerPool`]);
 //! * [`rox`] — the run-time optimizer, baselines, plan enumeration;
 //! * [`datagen`] — XMark-like and DBLP-like workload generators.
 //!
