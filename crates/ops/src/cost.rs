@@ -129,74 +129,6 @@ pub fn choose_step_kernel(
     }
 }
 
-/// Drift thresholds of the guarded plan replay (`rox-core`'s guard
-/// module). A cached plan's recorded per-edge cardinalities are compared
-/// against what the replay observes; the plan is demoted to a fresh
-/// run-time optimization of the remaining edges when any check breaches.
-///
-/// | constant | value | role |
-/// |---|---|---|
-/// | [`DRIFT_RATIO`] | 4.0 | breach when observed/expected (or its inverse) exceeds this |
-/// | [`DRIFT_ABS_FLOOR`] | 8.0 | both sides are floored here first — tiny absolute cardinalities never breach |
-/// | [`REVALIDATE_SPOT_CHECKS`] | 2 | sampled pre-execution probes on the first K plan edges |
-/// | [`REVALIDATE_SPOT_TAU`] | 32 | probe sample size per spot check (decoupled from the run's τ) |
-/// | [`revalidation_budget`] | 64·τ | hard cap on the work those probes may charge |
-///
-/// The ratio is symmetric (growth and shrinkage both count: a plan tuned
-/// for a big intermediate is as stale when the intermediate collapses) and
-/// deliberately loose — the sampled side of a check carries sampling
-/// noise, and a demotion costs a full re-optimization, so the guard only
-/// fires on order-of-magnitude-class drift. The absolute floor keeps
-/// 1-vs-5-row noise from ever demoting: below [`DRIFT_ABS_FLOOR`] rows,
-/// any order is as good as any other.
-pub const DRIFT_RATIO: f64 = 4.0;
-
-/// Absolute floor applied to both sides of a drift comparison; see
-/// [`DRIFT_RATIO`].
-pub const DRIFT_ABS_FLOOR: f64 = 8.0;
-
-/// Number of leading plan edges spot-checked by sampled probes before a
-/// guarded replay starts executing; see [`DRIFT_RATIO`].
-pub const REVALIDATE_SPOT_CHECKS: usize = 2;
-
-/// Sample size of one spot-check probe. Deliberately small and *decoupled
-/// from the run's τ*: the probe only needs to distinguish
-/// order-of-magnitude-class drift (the [`DRIFT_RATIO`] bar), not rank
-/// candidate operators, so a replay's guard cost stays flat as τ grows.
-/// Bit-reproducibility is unaffected — the recorded expectation is
-/// computed by the *same* probe procedure at seed time.
-pub const REVALIDATE_SPOT_TAU: usize = 32;
-
-/// Per-check work allowance factor: each spot check is a cut-off sampled
-/// probe whose charge is `O(τ)`-class; 32·τ units of slack per check
-/// absorb the fan-out-heavy outliers.
-pub const REVALIDATE_BUDGET_PER_CHECK: usize = 32;
-
-/// Hard cap on the sampling work ([`Cost::total`]) a guarded replay may
-/// charge for its pre-execution spot checks:
-/// [`REVALIDATE_SPOT_CHECKS`]` × `[`REVALIDATE_BUDGET_PER_CHECK`]` × τ`.
-/// Checks stop (plan is trusted as-is) once the budget is spent.
-pub fn revalidation_budget(tau: usize) -> u64 {
-    (REVALIDATE_SPOT_CHECKS * REVALIDATE_BUDGET_PER_CHECK * tau.max(1)) as u64
-}
-
-/// Symmetric drift ratio between an observed and an expected cardinality,
-/// with both sides floored at [`DRIFT_ABS_FLOOR`]. Always ≥ 1.
-pub fn drift_ratio(observed: f64, expected: f64) -> f64 {
-    let o = observed.max(DRIFT_ABS_FLOOR);
-    let e = expected.max(DRIFT_ABS_FLOOR);
-    if o >= e {
-        o / e
-    } else {
-        e / o
-    }
-}
-
-/// Does `observed` vs `expected` breach the [`DRIFT_RATIO`] threshold?
-pub fn drift_breached(observed: f64, expected: f64) -> bool {
-    drift_ratio(observed, expected) > DRIFT_RATIO
-}
-
 /// Accumulated operator work, in tuples touched.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Cost {
@@ -308,25 +240,5 @@ mod tests {
             assert_eq!(v.kind, EdgeOpKind::IndexNLValueJoin);
             assert_eq!(v.outer_is_v1, outer_is_v1);
         }
-    }
-
-    #[test]
-    fn drift_ratio_is_symmetric_and_floored() {
-        // Symmetric: growth and shrinkage drift equally.
-        assert_eq!(drift_ratio(100.0, 25.0), drift_ratio(25.0, 100.0));
-        assert!(drift_breached(100.0, 20.0));
-        assert!(drift_breached(20.0, 100.0));
-        // At exactly the threshold nothing breaches (strict inequality).
-        assert!(!drift_breached(100.0, 25.0));
-        // The absolute floor absorbs tiny-cardinality noise: 1 row vs 6
-        // rows is a 6x ratio but both sit under the floor.
-        assert!(!drift_breached(1.0, 6.0));
-        assert_eq!(drift_ratio(0.0, 0.0), 1.0);
-        // Budget scales with tau and never hits zero.
-        assert_eq!(
-            revalidation_budget(100),
-            (REVALIDATE_SPOT_CHECKS * REVALIDATE_BUDGET_PER_CHECK * 100) as u64
-        );
-        assert!(revalidation_budget(0) > 0);
     }
 }

@@ -31,9 +31,8 @@ pub mod valjoin;
 
 pub use axis::{Axis, NodeTest};
 pub use cost::{
-    choose_op, choose_step_kernel, drift_breached, drift_ratio, nl_cheaper, revalidation_budget,
-    Cost, StepKernel, DRIFT_ABS_FLOOR, DRIFT_RATIO, NL_VS_HASH_FACTOR, REVALIDATE_BUDGET_PER_CHECK,
-    REVALIDATE_SPOT_CHECKS, REVALIDATE_SPOT_TAU, STEP_BITSET_FACTOR,
+    choose_op, choose_step_kernel, nl_cheaper, Cost, StepKernel, NL_VS_HASH_FACTOR,
+    STEP_BITSET_FACTOR,
 };
 pub use cutoff::JoinOut;
 pub use edgeop::{

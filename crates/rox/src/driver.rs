@@ -1,8 +1,7 @@
-//! The one run driver: every way a Join Graph gets evaluated — a ROX
-//! optimizing run ([`crate::run_rox_with_env`]), a pure plan replay
-//! ([`crate::run_plan_with_env`]), and a guarded replay that may demote
-//! mid-query ([`crate::guard`]) — is a short composition of the four steps
-//! here:
+//! The one run driver: both ways a Join Graph gets evaluated — a ROX
+//! optimizing run ([`crate::run_rox_with_env`]) and a pure plan replay
+//! ([`crate::run_plan_with_env`], which a plan-cache hit also runs) — are
+//! a short composition of the four steps here:
 //!
 //! 1. [`RunDriver::new`] — evaluation state, redundant edges marked;
 //! 2. [`RunDriver::replay_edge`] — execute one given edge, no sampling;
@@ -12,14 +11,14 @@
 //! 4. [`RunDriver::finish`] — finalize the join, apply the plan tail.
 //!
 //! The driver owns everything a run accumulates — executed order, both
-//! cost counters, both wall clocks, chain traces — so the three callers
+//! cost counters, both wall clocks, chain traces — so the two callers
 //! cannot drift apart in what they set up, seed, time, or tear down.
 
 use crate::chain::{chain_sample, ChainOutcome, ChainTrace};
 use crate::env::RoxEnv;
 use crate::estimate::estimate_card;
 use crate::optimizer::{RoxOptions, RoxReport};
-use crate::state::{EdgeExec, EvalState};
+use crate::state::EvalState;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rox_joingraph::{EdgeId, JoinGraph};
@@ -47,8 +46,7 @@ pub(crate) struct RunDriver<'a> {
     weights: Vec<Option<f64>>,
     /// Edges executed so far, replayed or chosen, in order.
     pub(crate) executed_order: Vec<EdgeId>,
-    /// Work done by sampling (spot probes, Phase 1, chain sampling,
-    /// re-weighting).
+    /// Work done by sampling (Phase 1, chain sampling, re-weighting).
     pub(crate) sample_cost: Cost,
     sample_wall: Duration,
     exec_wall: Duration,
@@ -82,35 +80,22 @@ impl<'a> RunDriver<'a> {
         }
     }
 
-    /// Run `f` — sampling work outside Algorithm 1 proper (the guard's
-    /// spot probes) — over the state and the sampling cost counter, on
-    /// the sampling clock.
-    pub(crate) fn sampled<R>(&mut self, f: impl FnOnce(&mut EvalState<'a>, &mut Cost) -> R) -> R {
-        let t = Instant::now();
-        let out = f(&mut self.state, &mut self.sample_cost);
-        self.sample_wall += t.elapsed();
-        out
-    }
-
-    /// Execute edge `e` of a given plan with no sampling and return what
-    /// it observed; redundant edges are skipped (`None`).
-    pub(crate) fn replay_edge(&mut self, e: EdgeId) -> Option<EdgeExec> {
+    /// Execute edge `e` of a given plan with no sampling; redundant edges
+    /// are skipped.
+    pub(crate) fn replay_edge(&mut self, e: EdgeId) {
         if self.state.graph.edge(e).redundant {
-            return None;
+            return;
         }
         let t = Instant::now();
         self.state.execute_edge(e, None);
         self.exec_wall += t.elapsed();
         self.executed_order.push(e);
-        self.state.edge_log.last().copied()
     }
 
     /// Algorithm 1 over the unexecuted edges. Phase 1 (lines 1-4) seeds
     /// `S(v)` from the current `T(v)` — the base list on an untouched
     /// vertex — and weighs every candidate edge by an independent cut-off
-    /// sampled run, so a state that already carries an executed prefix
-    /// (mid-query demotion) restarts exactly where a run that had arrived
-    /// there itself would stand. Then the Phase-2 loop.
+    /// sampled run. Then the Phase-2 loop.
     pub(crate) fn optimize_remaining(&mut self) {
         let t0 = Instant::now();
         for v in self.state.graph.vertices() {

@@ -17,13 +17,9 @@
 //!   (unlike the old per-graph `VertexId` keying, which died with the
 //!   env);
 //! * **plans** — keyed by [`JoinGraph::fingerprint`]: the edge order an
-//!   optimizing run discovered, the physical operator ([`EdgeOpKind`]) it
-//!   chose per edge, and the per-edge cardinalities it observed. Under
-//!   [`PlanReuse::ReuseValidated`] a repeat of the same query shape
-//!   replays that order through the **guarded replay** ([`crate::guard`]):
-//!   budget-capped sampled spot checks plus free observed checks defend
-//!   the replay against data drift, and a breach demotes it mid-query to a
-//!   fresh run-time optimization of the remaining edges. Any fingerprint
+//!   optimizing run discovered. Under [`PlanReuse::ReuseValidated`] a
+//!   repeat of the same query shape replays that order with no sampling —
+//!   the same steps as [`crate::run_plan_with_env`]. Any fingerprint
 //!   mismatch, canonical-form collision, stale edge set, or stale
 //!   statistics epoch bypasses the cache and re-optimizes.
 //!
@@ -32,10 +28,9 @@
 //! bumps the epoch *before* dropping derived data, and both plan lookup
 //! and plan seeding verify the epochs they captured are still current —
 //! so a replay racing an invalidation can never serve (or cache) a plan
-//! versioned against dropped statistics. [`RoxEngine::reindex_document`]
-//! refreshes a document's derived data *without* dropping its plans —
-//! modeling in-place updates whose plans the guard revalidates on the
-//! next replay.
+//! versioned against dropped statistics. Every content change goes
+//! through that call, so a cached plan only ever replays on the data it
+//! was discovered on, and the first run after a change re-optimizes.
 //!
 //! A query runs inside a *session* ([`RoxEngine::session`]) — a thin
 //! [`RoxEnv`] view borrowing the engine's caches — on the thread that
@@ -53,13 +48,12 @@
 //! exact same sampling an un-cached [`crate::run_rox`] would.
 
 use crate::env::{EnvError, RoxEnv};
-use crate::guard::{self, EdgeExpectation, GuardSpec, SpotCheck};
 use crate::optimizer::{run_rox_with_env, RoxOptions, RoxReport};
-use crate::plan::validate_plan;
+use crate::plan::{replay, validate_plan};
 use crate::state::EdgeExec;
 use rox_index::IndexedStore;
 use rox_joingraph::{EdgeId, JoinGraph, VertexLabel};
-use rox_ops::{Cost, EdgeOpKind, Relation};
+use rox_ops::{Cost, Relation};
 use rox_par::WorkerPool;
 use rox_storage::wal::{DocPut, Lsn, Wal, WalIo, WalRecord, WalStats};
 use rox_storage::{
@@ -81,31 +75,11 @@ pub enum PlanReuse {
     #[default]
     AlwaysOptimize,
     /// Replay the cached plan when the query's fingerprint matches a
-    /// cached entry that validates against the graph (canonical form
-    /// equal, edge order still covering every non-redundant edge,
-    /// statistics epochs current). The replay is *guarded*
-    /// ([`crate::guard`]): cheap sampled spot checks and free observed
-    /// checks compare the live run against the recorded cardinalities,
-    /// and a drift breach demotes the run mid-query to a fresh
-    /// optimization of the remaining edges. Anything else falls back to a
-    /// full optimizing run.
+    /// cached entry that validates against the graph: canonical form
+    /// equal, edge order still covering every non-redundant edge
+    /// ([`validate_plan`]), statistics epochs current. The replay samples
+    /// nothing. Anything else falls back to a full optimizing run.
     ReuseValidated,
-}
-
-/// How one engine-served run was answered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunMode {
-    /// Full optimizing run (plan-cache miss or [`PlanReuse::AlwaysOptimize`]).
-    Optimized,
-    /// Guarded replay of a cached plan; every drift check passed.
-    Revalidated,
-    /// Guarded replay breached a drift check after `at_edge` executed
-    /// edges and finished as a fresh optimization of the remaining edges.
-    Demoted {
-        /// Executed-prefix length at the breach (0 = a pre-execution
-        /// sampled check fired).
-        at_edge: usize,
-    },
 }
 
 /// Cross-query base-list cache, keyed by `(DocId, VertexLabel)`.
@@ -206,27 +180,13 @@ impl BaseListCache {
     }
 }
 
-/// One plan-cache entry: what an optimizing (or demoted) run discovered
-/// for one query fingerprint, plus everything a guarded replay needs to
-/// check the plan against the live data.
+/// One plan-cache entry: the join order an optimizing run discovered for
+/// one query fingerprint, and the statistics it was discovered on.
 #[derive(Debug, Clone)]
 pub struct CachedPlan {
     /// The non-redundant edges in the order ROX executed them — the "pure
     /// plan" replayed on a hit.
     pub order: Vec<EdgeId>,
-    /// The physical operator the kernel chose per executed edge (parallel
-    /// to `order`). Advisory: a replay re-derives its choices through the
-    /// same kernel and cost function, so on unchanged documents it picks
-    /// these exact operators again.
-    pub ops: Vec<EdgeOpKind>,
-    /// Per-edge recorded cardinalities and reduction factors (parallel to
-    /// `order`) — the expectations the guarded replay spot-checks.
-    pub expected: Vec<EdgeExpectation>,
-    /// Sample size τ the seeding run used (the guard reproduces Phase 1
-    /// under it).
-    pub tau: usize,
-    /// RNG seed of the seeding run.
-    pub seed: u64,
     /// Per-document statistics epochs `(uri, epoch)` captured when the
     /// seeding run started, sorted by URI. A replay or re-seed whose
     /// current epochs differ is refused — the plan was versioned against
@@ -405,13 +365,14 @@ pub struct EngineStats {
     pub base_list_builds: usize,
     /// Base-list lookups served from the shared cache.
     pub base_list_hits: usize,
-    /// `run` calls answered by (revalidated) plan replay.
+    /// `run` calls answered by plan replay.
     pub plan_hits: u64,
     /// `run` calls that ran the optimizer (including every
-    /// `AlwaysOptimize` call and every demoted replay).
+    /// `AlwaysOptimize` call).
     pub plan_misses: u64,
-    /// Guarded replays that breached a drift check and demoted mid-query
-    /// (each also counts as a miss).
+    /// Always 0: a plan-cache hit is a plain replay and is never demoted.
+    /// Retained only because the frozen `benchmark/` reads it for
+    /// `engine.plan_demotions`.
     pub plan_demotions: u64,
     /// Plans currently cached.
     pub cached_plans: usize,
@@ -449,10 +410,9 @@ pub struct EngineStats {
     pub wal_replayed: u64,
 }
 
-/// Everything one engine-served query run produces. Unlike
-/// [`RoxReport`], this is uniform across optimizing runs and plan-cache
-/// replays (a revalidated replay's `sample_cost` holds only its
-/// budget-capped spot checks).
+/// Everything one engine-served query run produces, uniform across
+/// optimizing runs and plan-cache replays (a replay's `sample_cost` and
+/// `sample_wall` are zero).
 #[derive(Debug)]
 pub struct EngineRun {
     /// The query output after the plan tail (π·δ·τ·π).
@@ -465,36 +425,27 @@ pub struct EngineRun {
     pub edge_log: Vec<EdgeExec>,
     /// Work done by full executions.
     pub exec_cost: Cost,
-    /// Work done by sampling — for a revalidated replay, only the
-    /// spot-check charge (bounded by the seeding run's Phase-1 cost and by
-    /// [`rox_ops::revalidation_budget`]).
+    /// Work done by sampling (zero for a plan-cache replay).
     pub sample_cost: Cost,
     /// Wall-clock spent in full execution (+ finalization and tail).
     pub exec_wall: Duration,
-    /// Wall-clock spent sampling (spot checks, Phase 1, chain sampling,
-    /// re-weighting).
+    /// Wall-clock spent sampling (Phase 1, chain sampling, re-weighting).
     pub sample_wall: Duration,
     /// Wall-clock of the run; at least `exec_wall + sample_wall`.
     pub total_wall: Duration,
-    /// True when the plan cache answered this run end-to-end (mode
-    /// [`RunMode::Revalidated`]).
+    /// True when the plan cache answered this run: the cached order was
+    /// replayed, nothing was sampled.
     pub plan_cache_hit: bool,
-    /// How the run was answered: optimized, revalidated, or demoted.
-    pub mode: RunMode,
-    /// The drift checks the guarded replay performed (empty for
-    /// optimizing runs).
-    pub spot_checks: Vec<SpotCheck>,
+    /// Always empty: nothing checks a replay against recorded
+    /// cardinalities. Retained only because the frozen `benchmark/` reads
+    /// its length for `guard.spot_checks_per_run`.
+    pub spot_checks: Vec<std::convert::Infallible>,
     /// The query's join-graph fingerprint (the plan-cache key).
     pub fingerprint: u64,
 }
 
 impl EngineRun {
-    fn new(
-        report: RoxReport,
-        fingerprint: u64,
-        mode: RunMode,
-        spot_checks: Vec<SpotCheck>,
-    ) -> Self {
+    fn new(report: RoxReport, fingerprint: u64, plan_cache_hit: bool) -> Self {
         EngineRun {
             output: report.output,
             joined: report.joined,
@@ -505,9 +456,8 @@ impl EngineRun {
             exec_wall: report.exec_wall,
             sample_wall: report.sample_wall,
             total_wall: report.total_wall,
-            plan_cache_hit: mode == RunMode::Revalidated,
-            mode,
-            spot_checks,
+            plan_cache_hit,
+            spot_checks: Vec::new(),
             fingerprint,
         }
     }
@@ -528,12 +478,10 @@ impl EngineRun {
 /// ).unwrap();
 /// let options = RoxOptions { plan_reuse: PlanReuse::ReuseValidated, ..Default::default() };
 /// let cold = engine.run(&graph, options).unwrap(); // optimizes, seeds the plan cache
-/// let warm = engine.run(&graph, options).unwrap(); // guarded replay
+/// let warm = engine.run(&graph, options).unwrap(); // replays the cached order
 /// assert!(!cold.plan_cache_hit && warm.plan_cache_hit);
 /// assert_eq!(warm.output, cold.output);
-/// // The replay's only sampling is its drift spot checks, bounded by
-/// // what the seeding run's Phase 1 charged.
-/// assert!(warm.sample_cost.total() <= cold.sample_cost.total());
+/// assert_eq!(warm.sample_cost.total(), 0); // a replay samples nothing
 /// ```
 pub struct RoxEngine {
     store: Arc<IndexedStore>,
@@ -547,7 +495,6 @@ pub struct RoxEngine {
     doc_epochs: RwLock<HashMap<String, u64>>,
     plan_hits: AtomicU64,
     plan_misses: AtomicU64,
-    plan_demotions: AtomicU64,
     /// The always-on worker pool the serving paths run queries on.
     workers: Arc<WorkerPool>,
     /// Jobs admitted through [`RoxEngine::try_submit`] but not yet
@@ -617,6 +564,24 @@ impl PlanCache {
         }
     }
 
+    /// The entry usable for `graph`: fingerprint present, canonical form
+    /// equal (collision guard), the stored order still valid for the
+    /// graph's edge set, and the plan's statistics epochs equal to the
+    /// current ones. Anything less is a miss.
+    fn validated(
+        &self,
+        fingerprint: u64,
+        canonical: &str,
+        graph: &JoinGraph,
+        current_epochs: &[(String, u64)],
+    ) -> Option<&CachedPlan> {
+        let plan = self.map.get(&fingerprint)?;
+        (plan.canonical == canonical
+            && plan.stats_epochs == current_epochs
+            && validate_plan(graph, &plan.order).is_ok())
+        .then_some(plan)
+    }
+
     /// Keep only the plans satisfying `keep`, in the map and the FIFO
     /// alike: a fingerprint left queued after its plan is gone would be
     /// queued a second time by the re-seeding insert, and the stale front
@@ -665,10 +630,9 @@ impl RoxEngine {
     /// re-parsing and re-shredding the XML, then rebuilding every index —
     /// never runs. `_frames` is ignored; kept for the frozen benchmark.
     ///
-    /// [`RoxEngine::invalidate_document`] / [`RoxEngine::reindex_document`]
-    /// mark the document's stored index segments stale before any derived
-    /// data is dropped, so the snapshot can never serve an index from a
-    /// superseded epoch.
+    /// [`RoxEngine::invalidate_document`] marks the document's stored
+    /// index segments stale before any derived data is dropped, so the
+    /// snapshot can never serve an index from a superseded epoch.
     pub fn open_snapshot(path: &Path, _frames: Option<usize>) -> Result<Self, StorageError> {
         let (catalog, source) = Snapshot::open(path, None)?;
         Ok(Self::over_snapshot(catalog, source))
@@ -699,10 +663,10 @@ impl RoxEngine {
     /// Attach a durable directory at `dir`: persist the current catalog
     /// as `snapshot.rox`, start the log's two lanes (`wal.rox`,
     /// `wal.1.rox`), and from here on route every
-    /// [`RoxEngine::invalidate_document`] / [`RoxEngine::reindex_document`]
-    /// through the write-ahead log — each mutation is acknowledged only
-    /// after its record is fsynced, and [`RoxEngine::recover`] on the
-    /// directory rebuilds this engine's exact state after any crash.
+    /// [`RoxEngine::invalidate_document`] through the write-ahead log —
+    /// each mutation is acknowledged only after its record is fsynced, and
+    /// [`RoxEngine::recover`] on the directory rebuilds this engine's exact
+    /// state after any crash.
     pub fn make_durable(&self, dir: &Path) -> Result<SaveReport, StorageError> {
         self.make_durable_with_io(dir, Arc::new(StdWalIo))
     }
@@ -827,7 +791,6 @@ impl RoxEngine {
             doc_epochs: RwLock::new(HashMap::new()),
             plan_hits: AtomicU64::new(0),
             plan_misses: AtomicU64::new(0),
-            plan_demotions: AtomicU64::new(0),
             workers,
             queued: AtomicUsize::new(0),
             jobs_submitted: AtomicU64::new(0),
@@ -872,10 +835,10 @@ impl RoxEngine {
         RoxEnv::from_shared(Arc::clone(&self.store), Arc::clone(&self.base_lists), graph)
     }
 
-    /// Serve one query: guarded replay of the cached plan when
+    /// Serve one query: replay the cached plan when
     /// [`RoxOptions::plan_reuse`] allows it and a validated entry exists
-    /// (revalidating or demoting per [`crate::guard`]), else run the full
-    /// optimizer ([`crate::run_rox`] semantics — the result is
+    /// (no sampling; the steps of [`crate::run_plan_with_env`]), else run
+    /// the full optimizer ([`crate::run_rox`] semantics — the result is
     /// bit-identical to a fresh standalone run) and seed the plan cache
     /// with what it discovered.
     pub fn run(&self, graph: &JoinGraph, options: RoxOptions) -> Result<EngineRun, EnvError> {
@@ -889,42 +852,21 @@ impl RoxEngine {
         // vector stale and the seed/replay below refuses it.
         let epochs = self.capture_epochs(graph);
         let env = self.session(graph)?;
-        let spec = (options.plan_reuse == PlanReuse::ReuseValidated)
+        let order = (options.plan_reuse == PlanReuse::ReuseValidated)
             .then(|| self.lookup_validated(fingerprint, &canonical, graph, &epochs))
             .flatten();
-        let (report, mode, checks) = match spec {
-            Some(spec) => guard::run_guarded(&env, graph, &spec, options)
-                .map_err(|e| EnvError { message: e.message })?,
-            None => (
-                run_rox_with_env(&env, graph, options)?,
-                RunMode::Optimized,
-                Vec::new(),
-            ),
-        };
-        if mode == RunMode::Revalidated {
+        if let Some(order) = order {
+            let report = replay(&env, graph, &order);
             self.plan_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            // A demotion is an optimizing run that kept its executed
-            // prefix: like one, it counts as a miss — only once the
-            // optimizer actually ran, so failed sessions (unknown
-            // documents) never skew the hit rate — and (re-)seeds the
-            // cache with what it discovered, versioned against the epochs
-            // captured at run start.
-            if matches!(mode, RunMode::Demoted { .. }) {
-                self.plan_demotions.fetch_add(1, Ordering::Relaxed);
-            }
-            self.plan_misses.fetch_add(1, Ordering::Relaxed);
-            self.insert_plan(
-                fingerprint,
-                canonical,
-                graph,
-                &env,
-                &report,
-                &options,
-                epochs,
-            );
+            return Ok(EngineRun::new(report, fingerprint, true));
         }
-        Ok(EngineRun::new(report, fingerprint, mode, checks))
+        let report = run_rox_with_env(&env, graph, options)?;
+        // A miss counts only once the optimizer actually ran, so failed
+        // sessions (unknown documents) never skew the hit rate; it seeds
+        // the cache, versioned against the epochs captured at run start.
+        self.plan_misses.fetch_add(1, Ordering::Relaxed);
+        self.insert_plan(fingerprint, canonical, graph, &report, epochs);
+        Ok(EngineRun::new(report, fingerprint, false))
     }
 
     /// Serve a batch of queries concurrently on the engine's worker pool,
@@ -1029,12 +971,9 @@ impl RoxEngine {
         let canonical = graph.canonical_form();
         let fingerprint = rox_joingraph::fingerprint_of(&canonical);
         let epochs = self.capture_epochs(graph);
-        self.lookup_validated(fingerprint, &canonical, graph, &epochs)?;
-        self.plans
-            .lock()
-            .expect("plan cache")
-            .map
-            .get(&fingerprint)
+        let plans = self.plans.lock().expect("plan cache");
+        plans
+            .validated(fingerprint, &canonical, graph, &epochs)
             .cloned()
     }
 
@@ -1046,7 +985,7 @@ impl RoxEngine {
             base_list_hits: self.base_lists.hit_count(),
             plan_hits: self.plan_hits.load(Ordering::Relaxed),
             plan_misses: self.plan_misses.load(Ordering::Relaxed),
-            plan_demotions: self.plan_demotions.load(Ordering::Relaxed),
+            plan_demotions: 0,
             cached_plans: self.plans.lock().expect("plan cache").map.len(),
             scratch: ScratchStats::default(),
             jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
@@ -1103,12 +1042,13 @@ impl RoxEngine {
             .collect()
     }
 
-    /// Invalidate everything derived from document `uri` after a reload:
-    /// its statistics epoch (bumped **first** — the versioning rule), its
-    /// indexes, its base lists, and every cached plan touching it.
-    /// (A stale plan would still produce correct output — any edge order
-    /// does — but its order and operator choices were discovered on the
-    /// old data.)
+    /// Invalidate everything derived from document `uri` after a reload —
+    /// the one way a content change reaches the engine: its statistics
+    /// epoch (bumped **first** — the versioning rule), its indexes, its
+    /// base lists, and every cached plan touching it, so the next run
+    /// re-optimizes on the new data. (A stale plan would still produce
+    /// correct output — any edge order does — but its order and operator
+    /// choices were discovered on the old data.)
     ///
     /// The epoch bump strictly precedes every drop, so any plan lookup or
     /// seed that captured its epochs before this call observes the
@@ -1209,89 +1149,22 @@ impl RoxEngine {
         DocPut::from_document(doc, base as u32, new_symbols)
     }
 
-    /// Refresh the derived data of `uri` (indexes, base lists) after an
-    /// in-place content change **without** dropping its cached plans or
-    /// bumping its statistics epoch — the incremental-update path the
-    /// guarded replay defends: plans stay servable, and the next
-    /// `ReuseValidated` replay revalidates them against the new data,
-    /// demoting mid-query if the content drifted past the thresholds.
-    /// On a durable engine this is [`RoxEngine::try_reindex_document`]
-    /// and panics on a storage failure.
-    pub fn reindex_document(&self, uri: &str) {
-        self.try_reindex_document(uri)
-            .unwrap_or_else(|e| panic!("durable reindex of {uri:?} failed: {e}"));
-    }
-
-    /// As [`RoxEngine::reindex_document`]; on a durable engine a
-    /// `document-reindex` record carrying the resident content is
-    /// appended and fsynced first (a reindex of a non-resident document
-    /// logs nothing — rebuilding indexes from unchanged stored content
-    /// is idempotent, so recovery loses nothing by not knowing).
-    pub fn try_reindex_document(&self, uri: &str) -> Result<Option<Lsn>, StorageError> {
-        let durable = self.durable.read().expect("durable state").clone();
-        let lsn = match &durable {
-            None => None,
-            Some(d) => {
-                let mut cur = d.order.lock().expect("durable order");
-                match self
-                    .catalog()
-                    .resolve(uri)
-                    .and_then(|id| self.catalog().get(id))
-                {
-                    Some(doc) => {
-                        let record = WalRecord::DocReindex {
-                            uri: uri.to_string(),
-                            put: self.capture_put(&doc, &mut cur),
-                        };
-                        Some(d.wal.append(&record)?)
-                    }
-                    None => None,
-                }
-            }
-        };
-        if let (Some(d), Some(lsn)) = (&durable, lsn) {
-            d.wal.commit(lsn)?;
-        }
-        self.drop_derived(uri);
-        Ok(lsn)
-    }
-
-    /// A cache entry usable for `graph`: fingerprint present, canonical
-    /// form equal (collision guard), the stored order still valid for the
-    /// graph's edge set, and the plan's statistics epochs equal to the
-    /// current ones. Anything less is a miss. Returns the replayable
-    /// [`GuardSpec`], so the critical section clones no strings.
+    /// The order of the cache entry usable for `graph` (see
+    /// [`PlanCache::validated`]); the critical section clones no strings.
     fn lookup_validated(
         &self,
         fingerprint: u64,
         canonical: &str,
         graph: &JoinGraph,
         current_epochs: &[(String, u64)],
-    ) -> Option<GuardSpec> {
+    ) -> Option<Vec<EdgeId>> {
         let plans = self.plans.lock().expect("plan cache");
-        let plan = plans.map.get(&fingerprint)?;
-        if plan.canonical != canonical {
-            return None;
-        }
-        if plan.stats_epochs != current_epochs {
-            return None;
-        }
-        if validate_plan(graph, &plan.order).is_err() {
-            return None;
-        }
-        Some(GuardSpec {
-            order: plan.order.clone(),
-            expected: plan.expected.clone(),
-            tau: plan.tau,
-            seed: plan.seed,
-        })
+        let plan = plans.validated(fingerprint, canonical, graph, current_epochs)?;
+        Some(plan.order.clone())
     }
 
-    /// Seed the plan cache with what `report`'s run discovered: the edge
-    /// order, the operator per edge, and each edge's observed cardinalities
-    /// plus — for the spot-check window — the probe estimate a future
-    /// guarded replay will recompute with the identical procedure
-    /// (bit-equal on unchanged data). The plan is versioned against
+    /// Seed the plan cache with the edge order `report`'s run discovered.
+    /// The plan is versioned against
     /// `epochs` (captured at run start): if any of those epochs has
     /// advanced since — a concurrent `invalidate_document` — the insert is
     /// refused, because the plan was discovered on statistics that no
@@ -1299,24 +1172,14 @@ impl RoxEngine {
     /// critical section, and the invalidator bumps epochs strictly before
     /// its retain-sweep takes the same lock, so every interleaving either
     /// refuses the insert here or sweeps the entry there.
-    #[allow(clippy::too_many_arguments)] // one call site
     fn insert_plan(
         &self,
         fingerprint: u64,
         canonical: String,
         graph: &JoinGraph,
-        env: &RoxEnv,
         report: &RoxReport,
-        options: &RoxOptions,
         epochs: Vec<(String, u64)>,
     ) {
-        let expected = guard::plan_expectations(
-            env,
-            graph,
-            &report.executed_order,
-            &report.edge_log,
-            options,
-        );
         let mut doc_uris: Vec<String> =
             graph.vertices().iter().map(|v| v.doc_uri.clone()).collect();
         doc_uris.sort();
@@ -1335,10 +1198,6 @@ impl RoxEngine {
             fingerprint,
             CachedPlan {
                 order: report.executed_order.clone(),
-                ops: report.edge_log.iter().map(|x| x.op).collect(),
-                expected,
-                tau: options.tau,
-                seed: options.seed,
                 stats_epochs: epochs,
                 canonical,
                 doc_uris,
@@ -1404,19 +1263,24 @@ mod tests {
         let warm = engine.run(&g, reuse()).unwrap();
         let after_warm = engine.stats();
         // The acceptance bar: no index build, no base-list rebuild, and
-        // the warm path's only sampling is the guard's spot checks —
-        // bounded by what the seeding run's Phase 1 already charged.
+        // no sampling at all on the warm path.
         assert_eq!(after_warm.index_builds, after_cold.index_builds);
         assert_eq!(after_warm.base_list_builds, after_cold.base_list_builds);
         assert!(warm.plan_cache_hit);
-        assert_eq!(warm.mode, RunMode::Revalidated);
-        assert!(warm.sample_cost.total() <= cold.sample_cost.total());
-        assert!(!warm.spot_checks.is_empty());
-        assert!(warm.spot_checks.iter().all(|c| !c.breached));
+        assert_eq!(warm.sample_cost.total(), 0);
+        assert_eq!(warm.sample_wall, Duration::ZERO);
+        assert!(warm.spot_checks.is_empty());
         assert_eq!(warm.output, cold.output);
         assert_eq!(warm.executed_order, cold.executed_order);
         assert_eq!(after_warm.plan_hits, 1);
         assert_eq!(after_warm.plan_demotions, 0);
+        // Either way a run was answered, its two clocks are disjoint
+        // slices of its total.
+        assert!(cold.sample_wall > Duration::ZERO);
+        for run in [&cold, &warm] {
+            assert!(run.exec_wall > Duration::ZERO);
+            assert!(run.exec_wall + run.sample_wall <= run.total_wall);
+        }
     }
 
     #[test]
@@ -1425,10 +1289,9 @@ mod tests {
         let g = compile_query(Q_JOIN).unwrap();
         let cold = engine.run(&g, reuse()).unwrap();
         let warm = engine.run(&g, reuse()).unwrap();
+        assert!(warm.plan_cache_hit);
         assert_eq!(warm.edge_log, cold.edge_log);
-        let plan = engine.cached_plan(&g).unwrap();
-        let replayed: Vec<EdgeOpKind> = warm.edge_log.iter().map(|x| x.op).collect();
-        assert_eq!(plan.ops, replayed);
+        assert_eq!(engine.cached_plan(&g).unwrap().order, warm.executed_order);
     }
 
     #[test]
@@ -1658,30 +1521,6 @@ mod tests {
         assert_eq!(stats.jobs_rejected, 0);
     }
 
-    /// A document with enough structure that drift ratios clear the
-    /// absolute floor: `auctions` auctions with `bidders` bidders each.
-    fn sized_site(auctions: usize, bidders: usize) -> String {
-        let mut xml = String::from("<site>");
-        for i in 0..auctions {
-            xml.push_str("<auction>");
-            if i % 3 == 0 {
-                xml.push_str("<cheap/>");
-            }
-            for b in 0..bidders {
-                xml.push_str(&format!(
-                    "<bidder><personref person=\"p{}\"/></bidder>",
-                    b % 7
-                ));
-            }
-            xml.push_str("</auction>");
-        }
-        for p in 0..7 {
-            xml.push_str(&format!("<person id=\"p{p}\"/>"));
-        }
-        xml.push_str("</site>");
-        xml
-    }
-
     #[test]
     fn invalidate_document_bumps_the_stats_epoch_first() {
         let engine = engine();
@@ -1692,77 +1531,6 @@ mod tests {
         assert_eq!(engine.doc_epoch("d.xml"), 2);
         // Unknown documents have epoch 0 and bumping them is harmless.
         assert_eq!(engine.doc_epoch("other.xml"), 0);
-    }
-
-    #[test]
-    fn reindex_keeps_plans_and_replay_revalidates() {
-        let cat = Arc::new(Catalog::new());
-        cat.load_str("d.xml", &sized_site(40, 2)).unwrap();
-        let engine = RoxEngine::new(cat);
-        let g = compile_query(Q_STEP).unwrap();
-        let cold = engine.run(&g, reuse()).unwrap();
-        // Refresh derived data without content drift: the plan survives
-        // and the guarded replay revalidates it against the new indexes.
-        engine
-            .catalog()
-            .load_str("d.xml", &sized_site(40, 2))
-            .unwrap();
-        engine.reindex_document("d.xml");
-        assert_eq!(engine.stats().cached_plans, 1);
-        let warm = engine.run(&g, reuse()).unwrap();
-        assert_eq!(warm.mode, RunMode::Revalidated);
-        assert!(warm.plan_cache_hit);
-        assert_eq!(warm.output, cold.output);
-        assert_eq!(engine.stats().plan_demotions, 0);
-    }
-
-    #[test]
-    fn drifted_reindex_demotes_and_reseeds_the_plan() {
-        let cat = Arc::new(Catalog::new());
-        cat.load_str("d.xml", &sized_site(40, 1)).unwrap();
-        let engine = RoxEngine::new(cat);
-        let g = compile_query(Q_STEP).unwrap();
-        let cold = engine.run(&g, reuse()).unwrap();
-        assert_eq!(cold.mode, RunMode::Optimized);
-        // 20x more bidders per auction: the sampled spot check on the
-        // step edge breaches long before DRIFT_RATIO allows.
-        engine
-            .catalog()
-            .load_str("d.xml", &sized_site(40, 20))
-            .unwrap();
-        engine.reindex_document("d.xml");
-        let drifted = engine.run(&g, reuse()).unwrap();
-        assert!(
-            matches!(drifted.mode, RunMode::Demoted { .. }),
-            "{:?}",
-            drifted.mode
-        );
-        assert!(!drifted.plan_cache_hit);
-        assert!(drifted.spot_checks.iter().any(|c| c.breached));
-        let stats = engine.stats();
-        assert_eq!(stats.plan_demotions, 1);
-        // Output matches a fresh optimizing run on the drifted catalog.
-        let fresh = run_rox(Arc::clone(engine.catalog()), &g, RoxOptions::default()).unwrap();
-        assert_eq!(drifted.output, fresh.output);
-        // The cache now holds the refreshed plan and serves it cleanly.
-        assert_eq!(stats.cached_plans, 1);
-        let rewarm = engine.run(&g, reuse()).unwrap();
-        assert_eq!(rewarm.mode, RunMode::Revalidated);
-        assert_eq!(rewarm.output, fresh.output);
-        // However a run was answered, its two clocks are disjoint slices
-        // of its total.
-        for run in [&cold, &drifted, &rewarm] {
-            assert!(run.exec_wall > Duration::ZERO, "{:?}", run.mode);
-            assert!(run.sample_wall > Duration::ZERO, "{:?}", run.mode);
-            assert!(
-                run.exec_wall + run.sample_wall <= run.total_wall,
-                "{:?}: {:?} + {:?} > {:?}",
-                run.mode,
-                run.exec_wall,
-                run.sample_wall,
-                run.total_wall
-            );
-        }
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //! chain-sampling traces (the paper's Table 2 rows) and plan summaries.
 
 use crate::chain::ChainTrace;
-use crate::engine::{EngineRun, RunMode};
-use crate::guard::CheckKind;
+use crate::engine::EngineRun;
 use crate::optimizer::RoxReport;
 use crate::state::EdgeExec;
 use rox_joingraph::{EdgeId, JoinGraph};
@@ -49,43 +48,16 @@ fn render_order(graph: &JoinGraph, order: &[EdgeId], edge_log: &[EdgeExec]) -> S
 }
 
 /// Render an engine run: a header tagging how the plan was obtained —
-/// `[optimized]` (fresh Algorithm 1), `[revalidated]` (guarded replay whose
-/// spot checks all passed) or `[demoted @k]` (replay abandoned after `k`
-/// edges and re-optimized mid-query) — followed by the executed order in
-/// the same per-edge format as [`render_execution`]. Breached spot checks
-/// are listed under the header with their drift ratios.
+/// `[optimized]` (fresh Algorithm 1) or `[replayed]` (the cached order,
+/// no sampling) — followed by the executed order in the same per-edge
+/// format as [`render_execution`].
 pub fn render_engine_run(graph: &JoinGraph, run: &EngineRun) -> String {
-    let mut out = String::new();
-    match run.mode {
-        RunMode::Optimized => {
-            let _ = writeln!(out, "run [optimized]");
-        }
-        RunMode::Revalidated => {
-            let _ = writeln!(
-                out,
-                "run [revalidated] ({} spot-check{})",
-                run.spot_checks.len(),
-                if run.spot_checks.len() == 1 { "" } else { "s" }
-            );
-        }
-        RunMode::Demoted { at_edge } => {
-            let _ = writeln!(out, "run [demoted @{at_edge}]");
-        }
-    }
-    for check in run.spot_checks.iter().filter(|c| c.breached) {
-        let kind = match check.kind {
-            CheckKind::SampledWeight => "sampled",
-            CheckKind::Observed => "observed",
-        };
-        let _ = writeln!(
-            out,
-            "     drift on {} ({kind}): expected {:.1}, observed {:.1} (x{:.1})",
-            render_edge(graph, check.edge),
-            check.expected,
-            check.observed,
-            check.ratio
-        );
-    }
+    let how = if run.plan_cache_hit {
+        "replayed"
+    } else {
+        "optimized"
+    };
+    let mut out = format!("run [{how}]\n");
     out.push_str(&render_order(graph, &run.executed_order, &run.edge_log));
     out
 }
@@ -254,8 +226,8 @@ mod tests {
     }
 
     /// The engine-run renderer tags runs with how their plan was obtained:
-    /// a cold run renders `[optimized]`, a warm guarded replay renders
-    /// `[revalidated]`, and both share the per-edge line format of
+    /// a cold run renders `[optimized]`, a warm replay renders
+    /// `[replayed]`, and both share the per-edge line format of
     /// `render_execution`.
     #[test]
     fn engine_run_rendering_tags_modes() {
@@ -282,7 +254,7 @@ mod tests {
         let cold_s = render_engine_run(&g, &cold);
         let warm_s = render_engine_run(&g, &warm);
         assert!(cold_s.starts_with("run [optimized]\n"), "{cold_s}");
-        assert!(warm_s.starts_with("run [revalidated]"), "{warm_s}");
+        assert!(warm_s.starts_with("run [replayed]\n"), "{warm_s}");
         // Per-edge lines are byte-identical to the render_execution format.
         assert!(
             warm_s.contains("  1. auction ◦/ bidder [step]  -> 3 rows\n"),

@@ -25,11 +25,9 @@
 //! * [`chain`] — chain sampling (Algorithm 2);
 //! * [`optimizer`] — the run-time optimizer (Algorithm 1): options, report
 //!   and entry points over the crate's one run driver, which plan replay
-//!   and the guarded replay share;
-//! * [`plan`] — explicit plan replay ("pure plan", no sampling);
-//! * [`guard`] — guarded plan replay: sampled drift spot checks over a
-//!   cached plan, with mid-query demotion back into Algorithm 1 when the
-//!   recorded cardinalities no longer match the data;
+//!   shares;
+//! * [`plan`] — explicit plan replay ("pure plan", no sampling), which is
+//!   also what a plan-cache hit runs;
 //! * [`enumerate`] — join-order enumeration + canonical SJ/JS/S_J
 //!   placements + the classical smallest-input-first baseline (§4.2);
 //! * [`naive`] — an independent nested-loop oracle for differential tests.
@@ -54,7 +52,6 @@ pub mod enumerate;
 pub mod env;
 mod estimate;
 pub mod explain;
-pub mod guard;
 pub mod naive;
 pub mod optimizer;
 pub mod plan;
@@ -62,7 +59,7 @@ pub mod state;
 
 pub use chain::{ChainTrace, PathSnapshot};
 pub use engine::{
-    BaseListCache, CachedPlan, EngineRun, EngineStats, EngineTicket, PlanReuse, RoxEngine, RunMode,
+    BaseListCache, CachedPlan, EngineRun, EngineStats, EngineTicket, PlanReuse, RoxEngine,
     ServeError, TicketOutcome,
 };
 pub use enumerate::{
@@ -70,7 +67,6 @@ pub use enumerate::{
     Placement, StarQuery,
 };
 pub use env::{EnvError, RoxEnv};
-pub use guard::{CheckKind, EdgeExpectation, SpotCheck};
 pub use naive::naive_evaluate;
 pub use optimizer::{run_rox, run_rox_with_env, RoxOptions, RoxReport};
 pub use plan::{run_plan, run_plan_with_env, validate_plan, PlanError, PlanRun};

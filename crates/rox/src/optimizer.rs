@@ -8,9 +8,9 @@
 //! weights of all edges incident to updated vertices after every execution
 //! — re-sampling, not scaling, is what lets ROX "detect arbitrary
 //! correlations between edges in the Join Graph" (§3). Both phases live in
-//! the crate's one run driver (`driver.rs`), which plan replay and the
-//! guarded replay's mid-query demotion share; this module holds the
-//! options, the report, and the two public entry points.
+//! the crate's one run driver (`driver.rs`), which plan replay shares;
+//! this module holds the options, the report, and the two public entry
+//! points.
 
 use crate::chain::ChainTrace;
 use crate::driver::RunDriver;

@@ -11,7 +11,7 @@
 
 use crate::driver::RunDriver;
 use crate::env::{EnvError, RoxEnv};
-use crate::optimizer::RoxOptions;
+use crate::optimizer::{RoxOptions, RoxReport};
 use crate::state::EdgeExec;
 use rox_joingraph::{EdgeId, EdgeKind, JoinGraph};
 use rox_ops::{Cost, Relation};
@@ -103,11 +103,7 @@ pub fn run_plan_with_env(
     order: &[EdgeId],
 ) -> Result<PlanRun, PlanError> {
     validate_plan(graph, order)?;
-    let mut driver = RunDriver::new(env, graph, RoxOptions::default());
-    for &e in order {
-        driver.replay_edge(e);
-    }
-    let report = driver.finish();
+    let report = replay(env, graph, order);
     // Fig. 5's metric: summed intermediate result sizes, over equi-join
     // edges only or over every edge.
     let cumulative = |joins_only: bool| -> u64 {
@@ -127,6 +123,18 @@ pub fn run_plan_with_env(
         cost: report.exec_cost,
         wall: report.total_wall,
     })
+}
+
+/// Replay a validated `order`: [`RunDriver::new`], one
+/// [`RunDriver::replay_edge`] per edge, [`RunDriver::finish`]. No
+/// sampling, so the report's sample cost and clock stay zero. A plan-cache
+/// hit in [`crate::RoxEngine::run`] is exactly this.
+pub(crate) fn replay(env: &RoxEnv, graph: &JoinGraph, order: &[EdgeId]) -> RoxReport {
+    let mut driver = RunDriver::new(env, graph, RoxOptions::default());
+    for &e in order {
+        driver.replay_edge(e);
+    }
+    driver.finish()
 }
 
 #[cfg(test)]

@@ -30,8 +30,7 @@ use std::sync::Arc;
 /// One executed edge: the size of the component relation it produced and
 /// the physical operator the kernel chose for it (the per-edge record
 /// behind Fig-6-style plan-class analysis), plus the node-level observed
-/// cardinalities the guarded plan replay compares against its recorded
-/// expectations.
+/// cardinalities.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeExec {
     /// The edge.
@@ -42,24 +41,11 @@ pub struct EdgeExec {
     /// ([`EdgeOpKind::Select`] for intra-component selections).
     pub op: EdgeOpKind,
     /// Node-level pairs the edge operator produced (for a selection: rows
-    /// kept) — the observed cardinality a guarded replay checks.
+    /// kept).
     pub pairs: usize,
     /// Distinct input cardinalities `(|T(v1)|, |T(v2)|)` at execution
-    /// time, the denominators of the observed reduction factor.
+    /// time.
     pub inputs: (usize, usize),
-}
-
-impl EdgeExec {
-    /// Observed reduction factor `pairs / (|T(v1)|·|T(v2)|)` — the per-edge
-    /// selectivity a cached plan records so a later replay can detect
-    /// correlation drift even when base cardinalities are unchanged.
-    pub fn reduction(&self) -> f64 {
-        let denom = (self.inputs.0 as f64) * (self.inputs.1 as f64);
-        if denom == 0.0 {
-            return 0.0;
-        }
-        self.pairs as f64 / denom
-    }
 }
 
 /// Per-vertex scratch arena: the membership bitset over `T(v)`-or-base
@@ -203,9 +189,7 @@ impl<'a> EvalState<'a> {
 
     /// Seed `S(v)` from the current `T(v)` — the base list while the
     /// vertex is untouched (Phase 1 of Algorithm 1), the materialized table
-    /// once an executed prefix has reduced it (the sample Algorithm 1 would
-    /// hold had it arrived at this state itself; mid-query demotion
-    /// restarts Phase 1 this way).
+    /// once an executed prefix has reduced it.
     pub(crate) fn seed_sample(&mut self, v: VertexId, rng: &mut StdRng, tau: usize) {
         let t = self.table_or_base(v);
         self.sample[v as usize] = Some(Arc::new(sample_sorted(rng, &t, tau)));

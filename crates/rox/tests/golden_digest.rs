@@ -1,13 +1,17 @@
 //! Golden run digests: the committed bit-identity check.
 //!
-//! Every run path — optimizing run, pure plan replay, guarded replay
-//! (revalidated and demoted) — is folded into an FNV-1a-64 over
-//! everything a run reports except wall clocks: the
-//! executed order, every [`EdgeExec`] field, both [`Cost`] counters, the
-//! drift checks, and the output and joined rows. The constants below were
-//! generated at the commit *before* the scratch pool was deleted, so a
-//! refactor that claims "outputs, join orders, edge logs and cost counters
-//! stay bit-identical" passes this file unchanged or is wrong.
+//! Every run path — optimizing run, pure plan replay, engine plan-cache
+//! replay, re-optimization after an invalidation — is folded into an
+//! FNV-1a-64 over everything a run reports except wall clocks: the
+//! executed order, every [`EdgeExec`] field, both [`Cost`] counters, and
+//! the output and joined rows. `XMARK_DIGEST` and `DBLP_DIGEST` were
+//! generated at the commit *before* the scratch pool was deleted;
+//! `ENGINE_DIGEST` was generated by its current test body on an engine
+//! that still ran sampled spot probes before every plan-cache replay. A
+//! replay's sample cost is the one thing left out of the fold; the test
+//! pins it to zero separately. A refactor that claims "outputs, join
+//! orders, edge logs and cost counters stay bit-identical" passes this
+//! file unchanged or is wrong.
 //!
 //! When a change is *meant* to move a digest (a new cost rule, a new
 //! operator choice), the failing assertion prints the new value.
@@ -20,7 +24,7 @@
 
 use rox_core::{
     run_plan_with_env, run_rox_with_env, EdgeExec, EngineRun, PlanReuse, RoxEngine, RoxEnv,
-    RoxOptions, RoxReport, RunMode, SpotCheck,
+    RoxOptions, RoxReport,
 };
 use rox_datagen::{
     dblp_query, generate_dblp, generate_xmark, grouped_combinations, xmark_query, DblpConfig,
@@ -31,9 +35,10 @@ use rox_ops::{Cost, Relation};
 use rox_xmldb::Catalog;
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use std::time::Duration;
 
 const XMARK_DIGEST: u64 = 0x5955_acb0_1d1c_8c19;
-const ENGINE_DIGEST: u64 = 0x9005_b110_c796_e243;
+const ENGINE_DIGEST: u64 = 0xefc5_8114_bb46_abf2;
 const DBLP_DIGEST: u64 = 0x6112_3a28_8839_5f40;
 
 /// FNV-1a-64 over a stream of `u64` words (little-endian bytes), plus the
@@ -122,29 +127,16 @@ impl Digest {
         self.relation(&r.joined);
     }
 
-    fn spot_checks(&mut self, checks: &[SpotCheck]) {
-        self.word(checks.len() as u64);
-        for c in checks {
-            self.word(u64::from(c.edge));
-            self.word(c.kind as u64);
-            self.word(c.expected.to_bits());
-            self.word(c.observed.to_bits());
-            self.word(c.ratio.to_bits());
-            self.word(u64::from(c.breached));
-        }
-    }
-
+    /// A replay's sampling is not folded: it is pinned to zero outside
+    /// the digest.
     fn engine_run(&mut self, r: &EngineRun) {
-        self.word(match r.mode {
-            RunMode::Optimized => 0,
-            RunMode::Revalidated => 1,
-            RunMode::Demoted { at_edge } => 2 + at_edge as u64,
-        });
+        self.word(u64::from(r.plan_cache_hit));
         self.order(&r.executed_order);
         self.edge_log(&r.edge_log);
         self.cost(&r.exec_cost);
-        self.cost(&r.sample_cost);
-        self.spot_checks(&r.spot_checks);
+        if !r.plan_cache_hit {
+            self.cost(&r.sample_cost);
+        }
         self.relation(&r.output);
         self.relation(&r.joined);
     }
@@ -205,7 +197,7 @@ fn xmark_runs_and_replays() {
 
 /// 30 auctions (every third `cheap`), one `personref` per bidder; varying
 /// only the bidder split moves the joint selectivity of `cheap ∘ bidder`
-/// while every base cardinality stays put (the `drift.rs` fixture).
+/// while every base cardinality stays put.
 fn correlated_site(bidders_on_cheap: usize, bidders_on_dear: usize) -> String {
     let mut xml = String::from("<site>");
     for i in 0..30 {
@@ -235,15 +227,16 @@ fn correlated_site(bidders_on_cheap: usize, bidders_on_dear: usize) -> String {
 }
 
 #[test]
-fn engine_cold_revalidated_demoted() {
+fn engine_cold_replayed_invalidated() {
     let reuse = RoxOptions {
         plan_reuse: PlanReuse::ReuseValidated,
         ..RoxOptions::default()
     };
     let mut d = Digest::new();
+    let mut hits: Vec<EngineRun> = Vec::new();
 
-    // Correlation drift under a warm plan: cold → revalidated → demoted
-    // mid-query → revalidated on the re-seeded plan.
+    // A content change under a warm plan: cold → replayed → reload and
+    // invalidate → re-optimized on the new data → replayed again.
     let catalog = Arc::new(Catalog::new());
     catalog.load_str("d.xml", &correlated_site(1, 10)).unwrap();
     let engine = RoxEngine::new(Arc::clone(&catalog));
@@ -252,17 +245,29 @@ fn engine_cold_revalidated_demoted() {
     )
     .unwrap();
     let cold = engine.run(&graph, reuse).unwrap();
-    assert_eq!(cold.mode, RunMode::Optimized);
+    assert!(!cold.plan_cache_hit);
     d.engine_run(&cold);
     let warm = engine.run(&graph, reuse).unwrap();
-    assert_eq!(warm.mode, RunMode::Revalidated);
+    assert!(warm.plan_cache_hit);
     d.engine_run(&warm);
+    hits.push(warm);
     catalog.load_str("d.xml", &correlated_site(21, 0)).unwrap();
-    engine.reindex_document("d.xml");
-    let drifted = engine.run(&graph, reuse).unwrap();
-    assert!(matches!(drifted.mode, RunMode::Demoted { .. }));
-    d.engine_run(&drifted);
-    d.engine_run(&engine.run(&graph, reuse).unwrap());
+    engine.invalidate_document("d.xml");
+    let changed = engine.run(&graph, reuse).unwrap();
+    assert!(!changed.plan_cache_hit);
+    let env = RoxEnv::new(Arc::clone(&catalog), &graph).unwrap();
+    let fresh = run_rox_with_env(&env, &graph, reuse).unwrap();
+    assert_eq!(changed.executed_order, fresh.executed_order);
+    assert_eq!(changed.edge_log, fresh.edge_log);
+    assert_eq!(changed.exec_cost, fresh.exec_cost);
+    assert_eq!(changed.sample_cost, fresh.sample_cost);
+    assert_eq!(changed.output, fresh.output);
+    assert_eq!(changed.joined, fresh.joined);
+    d.engine_run(&changed);
+    let rewarm = engine.run(&graph, reuse).unwrap();
+    assert!(rewarm.plan_cache_hit);
+    d.engine_run(&rewarm);
+    hits.push(rewarm);
 
     // The serving shape of the benchmark: XMark Q1/Qm1, cold then warm.
     let catalog = Arc::new(Catalog::new());
@@ -270,11 +275,23 @@ fn engine_cold_revalidated_demoted() {
     let engine = RoxEngine::new(catalog);
     for op in ["<", ">"] {
         let graph = compile_query(&xmark_query(op, 145.0)).unwrap();
-        for _pass in 0..2 {
-            d.engine_run(&engine.run(&graph, reuse).unwrap());
+        for pass in 0..2 {
+            let run = engine.run(&graph, reuse).unwrap();
+            assert_eq!(run.plan_cache_hit, pass == 1);
+            d.engine_run(&run);
+            if run.plan_cache_hit {
+                hits.push(run);
+            }
         }
     }
     d.check("ENGINE_DIGEST", ENGINE_DIGEST);
+
+    // A hit is a plain replay: it samples nothing and checks nothing.
+    for (i, hit) in hits.iter().enumerate() {
+        assert_eq!(hit.sample_cost.total(), 0, "hit {i} sampled");
+        assert_eq!(hit.sample_wall, Duration::ZERO, "hit {i} sampled");
+        assert!(hit.spot_checks.is_empty(), "hit {i} ran spot checks");
+    }
 }
 
 #[test]

@@ -3,18 +3,20 @@
 //! cost counters bit-identical to a fresh standalone `run_rox` per query —
 //! shared indexes, shared base lists, and cache warm-up order must never
 //! leak into any output. A plan-cache replay (`ReuseValidated`) must
-//! reproduce the optimizing run that seeded it with zero redundant index /
-//! base-list work, sampling at most the guard's budget-capped drift spot
-//! checks. And `invalidate_document` racing concurrent replays must never
-//! let a plan versioned against dropped statistics be served.
+//! reproduce the optimizing run that seeded it — and the pure plan replay
+//! of the cached order — with zero redundant index / base-list work and
+//! no sampling. A content change (reload + `invalidate_document`) must
+//! make the next run re-optimize exactly like a fresh run on the new data.
+//! And `invalidate_document` racing concurrent replays must never let a
+//! plan versioned against dropped statistics be served.
 
 use proptest::prelude::*;
-use rox_core::{run_rox, PlanReuse, RoxEngine, RoxOptions, RunMode};
+use rox_core::{run_plan_with_env, run_rox, PlanReuse, RoxEngine, RoxOptions};
 use rox_joingraph::JoinGraph;
-use rox_ops::revalidation_budget;
 use rox_par::WorkerPool;
 use rox_xmldb::Catalog;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Random auction-flavoured document: branchy enough for chain sampling,
 /// with value joins whose NL/hash choice is data-driven.
@@ -116,13 +118,15 @@ fn check_concurrent_mix(xml: &str, jobs: &[(usize, u64)], workers: usize) -> Res
 }
 
 /// Seed the plan cache with an optimizing run, then replay: identical
-/// output/joined/edge log, no sampling beyond the guard's spot checks
-/// (bounded by what the seeding run itself charged), zero new index or
-/// base-list builds.
-fn check_plan_reuse(xml: &str, qi: usize, seed: u64) -> Result<(), String> {
+/// output/joined/edge log to the seeding run and to the pure replay of the
+/// cached order, no sampling, zero new index or base-list builds. Then
+/// reload the document as `drifted` and invalidate it: the next run misses
+/// and equals a fresh optimizing run on the new data, and the run after it
+/// hits again.
+fn check_plan_reuse(xml: &str, drifted: &str, qi: usize, seed: u64) -> Result<(), String> {
     let catalog = catalog_for(xml);
     let graph = rox_joingraph::compile_query(QUERIES[qi]).unwrap();
-    let engine = RoxEngine::new(catalog);
+    let engine = RoxEngine::new(Arc::clone(&catalog));
     let opts = RoxOptions {
         plan_reuse: PlanReuse::ReuseValidated,
         ..options(seed)
@@ -137,18 +141,15 @@ fn check_plan_reuse(xml: &str, qi: usize, seed: u64) -> Result<(), String> {
     if !warm.plan_cache_hit {
         return Err("repeat run must hit the plan cache".into());
     }
-    if warm.mode != RunMode::Revalidated {
+    if warm.sample_cost.total() != 0 || warm.sample_wall != Duration::ZERO {
         return Err(format!(
-            "unchanged data must revalidate, got {:?}",
-            warm.mode
+            "replay sampled ({} units, {:?})",
+            warm.sample_cost.total(),
+            warm.sample_wall
         ));
     }
-    if warm.sample_cost.total() > 2 * revalidation_budget(opts.tau) {
-        return Err(format!(
-            "replay spot checks ({}) blew through the revalidation budget ({})",
-            warm.sample_cost.total(),
-            revalidation_budget(opts.tau)
-        ));
+    if !warm.spot_checks.is_empty() {
+        return Err("replay ran spot checks".into());
     }
     if warm.output != cold.output {
         return Err("replay output differs from seeding run".into());
@@ -167,6 +168,49 @@ fn check_plan_reuse(xml: &str, qi: usize, seed: u64) -> Result<(), String> {
     }
     if after_warm.base_list_builds != after_cold.base_list_builds {
         return Err("warm run rebuilt base lists".into());
+    }
+
+    // A hit is exactly the pure replay of the cached order.
+    let plan = engine.cached_plan(&graph).ok_or("no plan cached")?;
+    let session = engine.session(&graph).map_err(|e| e.to_string())?;
+    let pure = run_plan_with_env(&session, &graph, &plan.order).map_err(|e| e.to_string())?;
+    if warm.edge_log != pure.edge_log {
+        return Err("replay edge log differs from the pure replay".into());
+    }
+    if warm.exec_cost != pure.cost {
+        return Err(format!(
+            "replay exec cost {:?} differs from the pure replay {:?}",
+            warm.exec_cost, pure.cost
+        ));
+    }
+    if warm.output != pure.output || warm.joined != pure.joined {
+        return Err("replay rows differ from the pure replay".into());
+    }
+
+    // A content change goes through invalidation: the next run
+    // re-optimizes on the new data, the one after replays again.
+    catalog.load_str("d.xml", drifted).unwrap();
+    engine.invalidate_document("d.xml");
+    let changed = engine.run(&graph, opts).map_err(|e| e.to_string())?;
+    if changed.plan_cache_hit {
+        return Err("run after an invalidation hit the plan cache".into());
+    }
+    let fresh = run_rox(Arc::clone(&catalog), &graph, options(seed)).map_err(|e| e.to_string())?;
+    if changed.output != fresh.output || changed.joined != fresh.joined {
+        return Err("run after an invalidation differs from a fresh run in its rows".into());
+    }
+    if changed.executed_order != fresh.executed_order || changed.edge_log != fresh.edge_log {
+        return Err("run after an invalidation differs from a fresh run in its plan".into());
+    }
+    if changed.exec_cost != fresh.exec_cost || changed.sample_cost != fresh.sample_cost {
+        return Err("run after an invalidation differs from a fresh run in its costs".into());
+    }
+    let rewarm = engine.run(&graph, opts).map_err(|e| e.to_string())?;
+    if !rewarm.plan_cache_hit {
+        return Err("the re-seeded plan was not replayed".into());
+    }
+    if rewarm.output != fresh.output {
+        return Err("replay of the re-seeded plan differs".into());
     }
     Ok(())
 }
@@ -188,10 +232,11 @@ proptest! {
     #[test]
     fn plan_cache_replay_matches_seeding_run(
         xml in doc_strategy(),
+        drifted in doc_strategy(),
         qi in 0usize..4,
         seed in 0u64..500,
     ) {
-        let r = check_plan_reuse(&xml, qi, seed);
+        let r = check_plan_reuse(&xml, &drifted, qi, seed);
         prop_assert!(r.is_ok(), "{} (query {qi}, seed {seed})", r.unwrap_err());
     }
 }
@@ -242,10 +287,7 @@ fn warm_engine_does_zero_redundant_work_across_a_mix() {
         let run = run.unwrap();
         let cold = &firsts[i % graphs.len()];
         assert!(run.plan_cache_hit, "warm job {i} missed the plan cache");
-        assert!(
-            run.sample_cost.total() <= 2 * revalidation_budget(opts.tau),
-            "warm job {i} sampled beyond its guard's spot-check budget"
-        );
+        assert_eq!(run.sample_cost.total(), 0, "warm job {i} sampled");
         assert_eq!(run.output, cold.output, "job {i}");
     }
     let after = engine.stats();
@@ -266,7 +308,7 @@ fn warm_engine_does_zero_redundant_work_across_a_mix() {
 /// before dropping derived data, re-check under the plan-cache lock on
 /// insert — must guarantee that (a) no run is ever served from a plan
 /// versioned against dropped statistics (here: unchanged data, so any
-/// demotion or wrong output is a versioning bug), and (b) the cache never
+/// wrong output is a versioning bug), and (b) the cache never
 /// *ends up* holding a plan whose recorded epochs disagree with the live
 /// ones.
 #[test]
@@ -317,13 +359,6 @@ fn concurrent_invalidation_never_serves_a_stale_versioned_plan() {
                     for i in 0..30 {
                         let qi = (t + i) % graphs.len();
                         let run = engine.run(&graphs[qi], opts).unwrap();
-                        // The data never changes, so a demotion means a
-                        // replay was validated against one statistics
-                        // version and checked against another.
-                        assert!(
-                            !matches!(run.mode, RunMode::Demoted { .. }),
-                            "reader {t} iteration {i}: demoted on unchanged data"
-                        );
                         assert_eq!(
                             run.output, references[qi],
                             "reader {t} iteration {i}: stale plan served"

@@ -1,9 +1,9 @@
 //! The crash-recovery torture suite: hundreds of seeded schedules of
-//! durable mutations (invalidates, reindexes, checkpoints) are driven
-//! into a fault-injected storage layer that dies mid-write — short
-//! writes, torn writes, lying fsyncs — at a seeded byte offset. After
-//! every crash the directory is recovered with honest I/O and checked
-//! against an engine that never crashed:
+//! durable mutations (invalidates with and without a reload,
+//! checkpoints) are driven into a fault-injected storage layer that dies
+//! mid-write — short writes, torn writes, lying fsyncs — at a seeded
+//! byte offset. After every crash the directory is recovered with honest
+//! I/O and checked against an engine that never crashed:
 //!
 //! * **durability** — every LSN acknowledged while the I/O was still
 //!   honest is ≤ the recovered water mark (an acked mutation is never
@@ -81,10 +81,6 @@ enum Op {
         uri: &'static str,
         reload: Option<u64>,
     },
-    Reindex {
-        uri: &'static str,
-        reload: u64,
-    },
     Checkpoint,
 }
 
@@ -95,13 +91,9 @@ fn schedule(seed: u64, n: usize) -> Vec<Op> {
             let r = rng.next();
             let uri = URIS[(r & 1) as usize];
             match (r >> 1) % 4 {
-                0 => Op::Invalidate {
+                0 | 1 => Op::Invalidate {
                     uri,
                     reload: Some(r >> 8),
-                },
-                1 => Op::Reindex {
-                    uri,
-                    reload: r >> 8,
                 },
                 2 => Op::Invalidate { uri, reload: None },
                 _ => Op::Checkpoint,
@@ -120,13 +112,6 @@ fn apply(engine: &RoxEngine, op: &Op) -> Result<Option<Lsn>, StorageError> {
                 engine.catalog().load_str(uri, &variant_xml(*v)).unwrap();
             }
             engine.try_invalidate_document(uri)
-        }
-        Op::Reindex { uri, reload } => {
-            engine
-                .catalog()
-                .load_str(uri, &variant_xml(*reload))
-                .unwrap();
-            engine.try_reindex_document(uri)
         }
         Op::Checkpoint => engine.checkpoint().map(|_| None),
     }
@@ -483,9 +468,9 @@ fn crash_checkpoint_before(tag: &str, target: &'static str) -> CheckpointCrash {
             uri: URIS[1],
             reload: Some(12),
         },
-        Op::Reindex {
+        Op::Invalidate {
             uri: URIS[0],
-            reload: 13,
+            reload: Some(13),
         },
         Op::Invalidate {
             uri: URIS[1],

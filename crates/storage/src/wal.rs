@@ -1,8 +1,8 @@
 //! The write-ahead log: incremental durability between snapshots.
 //!
 //! A snapshot persists the whole catalog atomically, but any mutation
-//! after it — an invalidation carrying new document content, a reindex,
-//! an epoch bump — would be lost on crash. The WAL closes that window:
+//! after it — an invalidation carrying new document content, an epoch
+//! bump — would be lost on crash. The WAL closes that window:
 //! every mutation appends one checksummed, LSN-stamped record and is
 //! acknowledged only after the log is fsynced, so recovery can replay
 //! the tail on top of the newest snapshot (see [`crate::recovery`]).
@@ -114,7 +114,8 @@ pub enum WalRecord {
         put: DocPut,
     },
     /// `kind 4` — a reindex: same content protocol as an invalidation
-    /// but no epoch bump (plans stay servable).
+    /// but no epoch bump. Earlier engines wrote it; nothing writes it any
+    /// more, and recovery still replays it so their logs recover.
     DocReindex {
         /// Document URI.
         uri: String,
