@@ -4,8 +4,7 @@
 //!
 //! One module per table/figure of the paper's evaluation (§4), each with a
 //! `run(cfg)` entry point returning structured results and a binary under
-//! `src/bin/` that prints them. Criterion benches under `benches/` wrap
-//! the same entry points at reduced scale.
+//! `src/bin/` that prints them.
 //!
 //! | Paper artifact | Module | Binary |
 //! |---|---|---|

@@ -2,13 +2,13 @@
 
 //! # rox-par — the serving worker pool
 //!
-//! The engine's inter-query serving path runs on one [`WorkerPool`]: an
-//! always-on, work-stealing pool with per-worker injector deques for
-//! `'static` serving jobs ([`WorkerPool::execute`], behind the engine's
-//! tickets), a shared board of in-flight [`WorkerPool::par_map`] batches
-//! idle workers help drain (the engine's closed-loop `run_many`), parked
-//! idle workers, graceful shutdown on drop, and per-task panic
-//! containment. Built on `std` only.
+//! The engine's inter-query serving path runs on one [`WorkerPool`]:
+//! always-on threads over one FIFO queue of `'static` serving jobs
+//! ([`WorkerPool::execute`], behind the engine's tickets), parked while
+//! the queue is empty, with per-job panic containment and graceful
+//! shutdown on drop. [`WorkerPool::par_map`] (the engine's closed-loop
+//! `run_many`) runs a batch on the caller and scoped threads instead of
+//! the queue. Built on `std` only.
 //!
 //! Every query itself runs on the one thread that serves it; nothing in
 //! this crate fans a single query out.

@@ -1,365 +1,175 @@
-//! # Always-on work-stealing worker pool
+//! # The serving worker pool: N threads over one FIFO queue
 //!
-//! Workers are spawned once, park on a condvar while idle, and are woken
-//! for two kinds of work:
+//! [`WorkerPool::execute`] pushes a `'static` job onto the back of one
+//! queue; `workers` always-on threads pop from its front and park on one
+//! condvar while it is empty. A job is pushed under the queue's lock, and a
+//! worker re-checks the queue under that lock before it parks, so the
+//! `notify_one` that follows a push cannot be missed and no timed wait is
+//! needed. Jobs start in submission order.
 //!
-//! * **jobs** — `'static` closures submitted with [`WorkerPool::execute`]
-//!   (the engine's serving path). Each worker owns an injector deque; jobs
-//!   are pushed round-robin and idle workers steal from the back of other
-//!   workers' deques.
-//! * **batches** — scoped, order-preserving [`WorkerPool::par_map`] calls
-//!   (the engine's closed-loop batch path). A batch is advertised on a
-//!   shared board; idle workers join in and claim task indices from an
-//!   atomic cursor.
-//!
-//! ## Determinism contract
-//!
-//! `par_map` writes each result into a slot indexed by task id, so the
-//! returned `Vec` is bit-identical to `(0..tasks).map(f).collect()` no
-//! matter which threads ran which tasks or in what order.
-//!
-//! ## Nested fan-out never deadlocks
-//!
-//! The thread that calls `par_map` *drives its own batch*: it claims and
-//! runs task indices until the cursor is exhausted, with pool workers only
-//! helping. A pool worker that executes a task which itself calls `par_map`
-//! therefore becomes the driver of the inner batch — it never blocks
-//! waiting for a pool slot. Inductively, every batch's cursor is drained by
-//! at least its caller, so no cycle of batches can wait on each other.
+//! [`WorkerPool::par_map`] does not touch the queue: the caller and up to
+//! `max_threads - 1` scoped threads claim task indices from one atomic
+//! cursor and write each result into the slot of its index, so the
+//! returned `Vec` is exactly `(0..tasks).map(f).collect()` whichever
+//! thread ran which task. A task that calls `par_map` again only spawns
+//! scoped threads of its own, so nested calls cannot deadlock.
 //!
 //! ## Panic containment
 //!
-//! A panicking `par_map` task is caught with `catch_unwind`, the remaining
-//! tasks still run, and the panic is resumed on the *calling* thread (first
-//! panicking index wins, deterministically). A panicking `execute` job is
-//! caught in the worker loop and dropped; the pool thread survives either
-//! way — one bad query can never take down the serving runtime.
+//! A panicking job is caught in the worker loop and dropped; the worker
+//! lives on, and the submitter sees the failure through its own completion
+//! guard (the engine's ticket). A panicking `par_map` task is caught too;
+//! once every task has run, the panic of the lowest panicking index is
+//! resumed on the caller.
 //!
 //! ## Shutdown
 //!
-//! Dropping the pool sets a shutdown flag, wakes every worker, and joins
-//! all of them (graceful: a worker finishes the job/batch tasks it already
-//! claimed). Jobs still sitting in the deques are dropped without running —
-//! submitters that need completion signals should arm a drop guard in the
-//! job closure (the engine's ticket does exactly that).
+//! Dropping the pool sets the queue's shutdown flag, wakes every worker and
+//! joins them; a worker finishes the job it is running. Jobs still queued
+//! are dropped unrun, so a submitter that needs a completion signal arms a
+//! drop guard in its job (the engine's ticket does). The drop may run on a
+//! worker — a job that owns the last `Arc` to the engine drops the pool —
+//! and a thread cannot join itself, so that worker is skipped: it sees the
+//! flag and exits once its job returns.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// A `'static` job submitted through [`WorkerPool::execute`].
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Type-erased view of an in-flight `par_map` batch that workers can help
-/// drain. Object-safe so batches of any `(T, F)` share one board.
-trait BatchWork: Send + Sync {
-    /// Claim a helper slot; `false` when the helper cap is reached or the
-    /// cursor is already exhausted.
-    fn try_join(&self) -> bool;
-    /// Claim-and-run task indices until the cursor is exhausted.
-    fn run_all(&self);
-    /// True when a *new* helper could still claim work: unclaimed tasks
-    /// remain **and** the helper cap is not yet reached. Workers park on
-    /// `false` — a capped batch must not keep bystanders spinning (on a
-    /// box with fewer cores than workers that spin starves the very
-    /// threads draining the batch).
-    fn joinable(&self) -> bool;
-}
-
-/// Shared state of one `par_map` batch.
-struct BatchState<T, F> {
-    f: F,
-    tasks: usize,
-    /// Next unclaimed task index (morsel-driven scheduling).
-    cursor: AtomicUsize,
-    /// Workers that joined this batch; capped so a batch never recruits
-    /// more helpers than its thread budget allows.
-    helpers: AtomicUsize,
-    helper_cap: usize,
-    /// Result placement by task index — this is what makes the output
-    /// independent of scheduling.
-    slots: Vec<Mutex<Option<std::thread::Result<T>>>>,
-    done: AtomicUsize,
-    done_flag: Mutex<bool>,
-    done_cv: Condvar,
-}
-
-impl<T, F> BatchState<T, F>
-where
-    T: Send,
-    F: Fn(usize) -> T + Send + Sync,
-{
-    fn new(tasks: usize, helper_cap: usize, f: F) -> Self {
-        BatchState {
-            f,
-            tasks,
-            cursor: AtomicUsize::new(0),
-            helpers: AtomicUsize::new(0),
-            helper_cap,
-            slots: (0..tasks).map(|_| Mutex::new(None)).collect(),
-            done: AtomicUsize::new(0),
-            done_flag: Mutex::new(false),
-            done_cv: Condvar::new(),
-        }
-    }
-
-    /// Claim one task index and run it. Returns `false` once the cursor is
-    /// exhausted. Panics are captured into the slot, never unwound here.
-    fn run_one(&self) -> bool {
-        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= self.tasks {
-            return false;
-        }
-        let result = catch_unwind(AssertUnwindSafe(|| (self.f)(i)));
-        *self.slots[i].lock().expect("batch slot") = Some(result);
-        if self.done.fetch_add(1, Ordering::AcqRel) + 1 == self.tasks {
-            *self.done_flag.lock().expect("batch done flag") = true;
-            self.done_cv.notify_all();
-        }
-        true
-    }
-
-    /// True while unclaimed task indices remain.
-    fn has_tasks(&self) -> bool {
-        self.cursor.load(Ordering::Relaxed) < self.tasks
-    }
-
-    /// Block until every task index has completed.
-    fn wait_done(&self) {
-        let mut flag = self.done_flag.lock().expect("batch done flag");
-        while !*flag {
-            flag = self.done_cv.wait(flag).expect("batch done flag");
-        }
-    }
-}
-
-impl<T, F> BatchWork for BatchState<T, F>
-where
-    T: Send,
-    F: Fn(usize) -> T + Send + Sync,
-{
-    fn try_join(&self) -> bool {
-        if !self.has_tasks() {
-            return false;
-        }
-        self.helpers
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |h| {
-                (h < self.helper_cap).then_some(h + 1)
-            })
-            .is_ok()
-    }
-
-    fn run_all(&self) {
-        while self.run_one() {}
-    }
-
-    fn joinable(&self) -> bool {
-        self.has_tasks() && self.helpers.load(Ordering::Relaxed) < self.helper_cap
-    }
-}
-
-/// An advertised batch with a retraction id.
-struct BatchEntry {
-    id: u64,
-    work: Arc<dyn BatchWork>,
+/// The queue and the shutdown flag, under one lock.
+struct Queue {
+    jobs: VecDeque<Job>,
+    shutdown: bool,
 }
 
 struct Shared {
-    /// Per-worker injector deques for `'static` jobs; worker `i` pops its
-    /// own deque from the front and steals from others' backs.
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Board of in-flight `par_map` batches workers can help drain.
-    batches: Mutex<Vec<BatchEntry>>,
-    next_batch_id: AtomicU64,
-    /// Round-robin submission cursor for `execute`.
-    next_queue: AtomicUsize,
-    /// Parking lot. Producers bump state *then* notify while holding the
-    /// lock, so a worker that re-checks for work under the lock before
-    /// waiting can never miss a wakeup.
-    signal: Mutex<()>,
-    signal_cv: Condvar,
-    shutdown: AtomicBool,
+    queue: Mutex<Queue>,
+    /// Signalled on every push and at shutdown.
+    ready: Condvar,
 }
 
-impl Shared {
-    fn have_work(&self) -> bool {
-        self.queues
-            .iter()
-            .any(|q| !q.lock().expect("job queue").is_empty())
-            || self
-                .batches
-                .lock()
-                .expect("batch board")
-                .iter()
-                .any(|b| b.work.joinable())
-    }
-
-    fn notify_one(&self) {
-        let _guard = self.signal.lock().expect("pool signal");
-        self.signal_cv.notify_one();
-    }
-
-    fn notify_all(&self) {
-        let _guard = self.signal.lock().expect("pool signal");
-        self.signal_cv.notify_all();
-    }
-}
-
-/// An always-on, work-stealing worker pool. See the module docs for the
-/// scheduling, determinism, and shutdown story.
+/// An always-on worker pool over one FIFO job queue. See the module docs
+/// for the scheduling, panic and shutdown rules.
 pub struct WorkerPool {
     shared: Arc<Shared>,
+    /// Behind a lock only to keep the pool `UnwindSafe`; `Drop` takes the
+    /// handles without locking.
     handles: Mutex<Vec<JoinHandle<()>>>,
+    workers: usize,
 }
 
 impl WorkerPool {
     /// Spawn a pool with `workers` always-on threads (clamped to at least
-    /// one). Workers park when idle; the pool is cheap to keep around.
+    /// one), named `rox-worker-{i}`. Workers park when idle; the pool is
+    /// cheap to keep around.
     pub fn new(workers: usize) -> WorkerPool {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            batches: Mutex::new(Vec::new()),
-            next_batch_id: AtomicU64::new(1),
-            next_queue: AtomicUsize::new(0),
-            signal: Mutex::new(()),
-            signal_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                shutdown: false,
+            }),
+            ready: Condvar::new(),
         });
         let handles = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("rox-worker-{i}"))
-                    .spawn(move || worker_loop(shared, i))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn pool worker")
             })
             .collect();
         WorkerPool {
             shared,
             handles: Mutex::new(handles),
+            workers,
         }
     }
 
     /// Number of always-on worker threads.
     pub fn workers(&self) -> usize {
-        self.shared.queues.len()
+        self.workers
     }
 
-    /// Submit a fire-and-forget `'static` job. Jobs are distributed
-    /// round-robin across worker deques and stolen by idle workers. If the
-    /// pool is already shut down the job runs inline on the caller.
+    /// Submit a fire-and-forget `'static` job to the back of the queue.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        if self.shared.shutdown.load(Ordering::Acquire) {
-            job();
-            return;
-        }
-        let slot = self.shared.next_queue.fetch_add(1, Ordering::Relaxed) % self.workers();
-        self.shared.queues[slot]
-            .lock()
-            .expect("job queue")
-            .push_back(Box::new(job));
-        self.shared.notify_one();
+        let mut queue = self.shared.queue.lock().expect("job queue");
+        queue.jobs.push_back(Box::new(job));
+        drop(queue);
+        self.shared.ready.notify_one();
     }
 
-    /// Order-preserving parallel map over `0..tasks` with a concurrency
-    /// budget of `max_threads` (caller + at most `max_threads - 1` pool
-    /// helpers). Returns exactly what `(0..tasks).map(f).collect()` would —
-    /// see the module docs for the determinism contract.
-    ///
-    /// The caller drives the batch itself, so this is safe to call from
-    /// inside a pool worker (nested fan-out) and falls back to a plain
-    /// sequential loop when `max_threads <= 1` or `tasks <= 1`.
+    /// Order-preserving parallel map over `0..tasks` on the caller plus at
+    /// most `max_threads - 1` scoped threads. Returns exactly what
+    /// `(0..tasks).map(f).collect()` would, and is a plain sequential loop
+    /// when `max_threads <= 1` or `tasks <= 1`. See the module docs for
+    /// the panic rule.
     pub fn par_map<T, F>(&self, max_threads: usize, tasks: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Send + Sync,
     {
-        if tasks == 0 {
-            return Vec::new();
-        }
-        let max_threads = max_threads.clamp(1, tasks);
-        if max_threads == 1 || tasks == 1 {
+        let threads = max_threads.clamp(1, tasks.max(1));
+        if threads == 1 {
             return (0..tasks).map(f).collect();
         }
-
-        let state = Arc::new(BatchState::new(tasks, max_threads - 1, f));
-
-        // Advertise the batch to the pool. The board holds `'static` trait
-        // objects, so the (scope-bound) batch Arc is lifetime-erased here.
-        // Soundness: before returning (or unwinding) we retract the entry
-        // and spin until we hold the only remaining Arc, so no worker can
-        // touch `f` or the slots after this frame ends.
-        let erased: Arc<dyn BatchWork> = unsafe {
-            let scoped: Arc<dyn BatchWork + '_> = state.clone();
-            std::mem::transmute::<Arc<dyn BatchWork + '_>, Arc<dyn BatchWork + 'static>>(scoped)
-        };
-        let id = self.shared.next_batch_id.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .batches
-            .lock()
-            .expect("batch board")
-            .push(BatchEntry { id, work: erased });
-        self.shared.notify_all();
-
-        // Drive the batch from this thread: claim-and-run until the cursor
-        // is exhausted, then wait for helpers to finish their in-flight
-        // tasks. The driver never parks while unclaimed work remains, which
-        // is what makes nested calls deadlock-free.
-        state.run_all();
-        state.wait_done();
-
-        // Retract and wait out any worker still holding a clone from its
-        // board scan (they only hold it long enough to observe the cursor
-        // is exhausted).
-        self.shared
-            .batches
-            .lock()
-            .expect("batch board")
-            .retain(|entry| entry.id != id);
-        while Arc::strong_count(&state) > 1 {
-            std::hint::spin_loop();
-        }
-
-        let state = Arc::into_inner(state).expect("sole batch owner");
-        let mut out = Vec::with_capacity(tasks);
-        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for slot in state.slots {
-            match slot
-                .into_inner()
-                .expect("batch slot")
-                .expect("every task index visited exactly once")
-            {
-                Ok(value) => out.push(value),
-                Err(payload) => {
-                    // First panicking index wins, deterministically.
-                    if panic.is_none() {
-                        panic = Some(payload);
-                    }
-                }
+        let cursor = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<std::thread::Result<T>>>> =
+            (0..tasks).map(|_| Mutex::new(None)).collect();
+        // `Relaxed`: the cursor only hands out indices; results travel
+        // through the slots' locks and the scope's joins.
+        let drain = || loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= tasks {
+                break;
             }
-        }
-        if let Some(payload) = panic {
-            resume_unwind(payload);
-        }
-        out
+            let result = catch_unwind(AssertUnwindSafe(|| f(i)));
+            *slots[i].lock().expect("par_map slot") = Some(result);
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..threads {
+                scope.spawn(drain);
+            }
+            drain();
+        });
+        slots
+            .into_iter()
+            .map(|slot| {
+                let result = slot.into_inner().expect("par_map slot");
+                match result.expect("every task index is claimed once") {
+                    Ok(value) => value,
+                    Err(panic) => resume_unwind(panic),
+                }
+            })
+            .collect()
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.notify_all();
-        // The drop can run *on a worker thread*: a queued job owning the
-        // last `Arc` to a structure that owns the pool (e.g. an engine)
-        // gets dropped in the worker loop at shutdown. A thread cannot
-        // join itself, so skip it — it is already past its loop's
-        // shutdown check and exits on its own right after this drop.
+        // No job runs under the queue's lock and every update leaves the
+        // queue whole, so a poisoned lock is still safe to use; `Drop`
+        // must not panic.
+        let mut queue = self
+            .shared
+            .queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        queue.shutdown = true;
+        drop(queue);
+        self.shared.ready.notify_all();
         let myself = std::thread::current().id();
-        for handle in self.handles.lock().expect("pool handles").drain(..) {
+        let handles = self
+            .handles
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        for handle in handles.drain(..) {
             if handle.thread().id() != myself {
                 let _ = handle.join();
             }
@@ -367,59 +177,22 @@ impl Drop for WorkerPool {
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, me: usize) {
-    let workers = shared.queues.len();
+/// Pop and run jobs oldest first until the pool shuts down. The lock is
+/// never held while a job runs.
+fn worker_loop(shared: &Shared) {
     loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-
-        // 1. Own deque, oldest first.
-        let job = shared.queues[me].lock().expect("job queue").pop_front();
-        if let Some(job) = job {
-            // A panicking job must not take down the pool thread; the
-            // submitter observes the failure through its own completion
-            // guard (e.g. the engine ticket).
-            let _ = catch_unwind(AssertUnwindSafe(job));
-            continue;
-        }
-
-        // 2. Steal from another worker's back.
-        let mut stolen = None;
-        for off in 1..workers {
-            let victim = (me + off) % workers;
-            if let Some(job) = shared.queues[victim].lock().expect("job queue").pop_back() {
-                stolen = Some(job);
-                break;
+        let mut queue = shared.queue.lock().expect("job queue");
+        let job = loop {
+            if queue.shutdown {
+                return;
             }
-        }
-        if let Some(job) = stolen {
-            let _ = catch_unwind(AssertUnwindSafe(job));
-            continue;
-        }
-
-        // 3. Help an advertised par_map batch.
-        let batch = {
-            let board = shared.batches.lock().expect("batch board");
-            board
-                .iter()
-                .find(|entry| entry.work.try_join())
-                .map(|entry| Arc::clone(&entry.work))
+            if let Some(job) = queue.jobs.pop_front() {
+                break job;
+            }
+            queue = shared.ready.wait(queue).expect("job queue");
         };
-        if let Some(batch) = batch {
-            batch.run_all();
-            continue;
-        }
-
-        // 4. Park. Re-check under the signal lock (producers notify while
-        // holding it), with a timeout as a belt-and-suspenders backstop.
-        let guard = shared.signal.lock().expect("pool signal");
-        if shared.shutdown.load(Ordering::Acquire) || shared.have_work() {
-            continue;
-        }
-        let _ = shared
-            .signal_cv
-            .wait_timeout(guard, Duration::from_millis(100));
+        drop(queue);
+        let _ = catch_unwind(AssertUnwindSafe(job));
     }
 }
 
@@ -427,6 +200,7 @@ fn worker_loop(shared: Arc<Shared>, me: usize) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     #[test]
     fn pooled_par_map_matches_sequential() {

@@ -1,12 +1,53 @@
-//! Lifecycle tests for the always-on worker pool: shutdown joins workers,
-//! panics are contained to the failing task, and nested fan-out from
-//! inside a pool worker can never deadlock.
+//! Lifecycle tests for the always-on worker pool: jobs start in
+//! submission order, shutdown joins workers, panics are contained to the
+//! failing task, and nested fan-out from inside a `par_map` task can never
+//! deadlock.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rox_par::WorkerPool;
+
+/// Jobs leave the queue in the order they were submitted: with both
+/// workers pinned, ten queued jobs all wait, and the one worker released
+/// starts them oldest first.
+#[test]
+fn jobs_start_in_submission_order() {
+    let pool = WorkerPool::new(2);
+    let (started_tx, started_rx) = mpsc::channel();
+    let gates: Vec<mpsc::Sender<()>> = (0..2)
+        .map(|_| {
+            let (gate_tx, gate_rx) = mpsc::channel::<()>();
+            let started_tx = started_tx.clone();
+            pool.execute(move || {
+                started_tx.send(()).unwrap();
+                let _ = gate_rx.recv();
+            });
+            gate_tx
+        })
+        .collect();
+    for _ in 0..2 {
+        started_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+    }
+    let order = Arc::new(Mutex::new(Vec::new()));
+    let (done_tx, done_rx) = mpsc::channel();
+    for i in 0..10usize {
+        let order = Arc::clone(&order);
+        let done_tx = done_tx.clone();
+        pool.execute(move || {
+            order.lock().unwrap().push(i);
+            done_tx.send(()).unwrap();
+        });
+    }
+    gates[0].send(()).unwrap();
+    for _ in 0..10 {
+        done_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+    }
+    drop(gates);
+    assert_eq!(*order.lock().unwrap(), (0..10).collect::<Vec<_>>());
+}
 
 /// Dropping the pool joins every worker thread: jobs submitted before the
 /// drop either ran or were discarded, and nothing runs afterwards.
@@ -70,8 +111,8 @@ fn panicking_job_does_not_kill_the_worker() {
 }
 
 /// Nested fan-out: par_map tasks that themselves call par_map on the same
-/// pool. The caller of each batch drives its own cursor, so even a pool
-/// with a single worker (every helper busy) can never deadlock.
+/// pool. Every call runs on its caller and scoped threads of its own and
+/// never waits for a pool worker, so the pool's size cannot matter.
 #[test]
 fn nested_fan_out_never_deadlocks() {
     for workers in [1, 2, 4] {
@@ -114,14 +155,14 @@ fn concurrent_batches_stay_deterministic() {
     assert!(failures.lock().unwrap().is_empty());
 }
 
-/// Workers actually participate in batches (the pool is not secretly
-/// running everything on the caller).
+/// par_map really fans out: some tasks run on a thread other than the
+/// caller (it is not secretly a sequential loop).
 #[test]
 fn workers_help_drain_batches() {
     let pool = WorkerPool::new(2);
     let caller = std::thread::current().id();
     let helped = AtomicUsize::new(0);
-    // Tasks sleep briefly so parked workers have time to wake and join.
+    // Tasks sleep briefly so the scoped threads have time to start and claim some.
     pool.par_map(4, 64, |_| {
         if std::thread::current().id() != caller {
             helped.fetch_add(1, Ordering::SeqCst);

@@ -35,8 +35,9 @@
 //! A query runs inside a *session* ([`RoxEngine::session`]) — a thin
 //! [`RoxEnv`] view borrowing the engine's caches — on the thread that
 //! serves it. The engine owns one always-on [`WorkerPool`] for the
-//! inter-query serving paths: [`RoxEngine::run_many`] fans a batch of
-//! queries out over that pool (results in job order), and
+//! inter-query serving paths: [`RoxEngine::run_many`] runs a batch of
+//! queries through the pool's `par_map`, one query per thread on the
+//! caller and scoped threads (results in job order), and
 //! [`RoxEngine::try_submit`] is the open-loop face: it enqueues one query
 //! behind a **bounded admission queue** ([`RoxOptions::max_queued`]) and
 //! returns an [`EngineTicket`] immediately, rejecting with
@@ -869,10 +870,11 @@ impl RoxEngine {
         Ok(EngineRun::new(report, fingerprint, false))
     }
 
-    /// Serve a batch of queries concurrently on the engine's worker pool,
-    /// with a concurrency window of the pool's worker count, all against
-    /// this engine's shared caches. Results come back in job order; each
-    /// job is exactly one [`RoxEngine::run`].
+    /// Serve a batch of queries concurrently through the worker pool's
+    /// `par_map`, with a concurrency window of the pool's worker count —
+    /// the caller plus that many minus one scoped threads, not the pool's
+    /// job queue — all against this engine's shared caches. Results come
+    /// back in job order; each job is exactly one [`RoxEngine::run`].
     ///
     /// The batch is closed-loop, so admission is resolved up front: all
     /// jobs arrive at once, a window's worth of them start immediately, the

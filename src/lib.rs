@@ -12,8 +12,8 @@
 //! * [`index`] — element and value indices;
 //! * [`ops`] — staircase joins, value joins, cut-off sampling;
 //! * [`joingraph`] — XQuery front end and Join Graph isolation;
-//! * [`par`] — the always-on worker pool the serving engine runs on
-//!   ([`par::WorkerPool`]);
+//! * [`par`] — the always-on worker pool the serving engine runs its
+//!   jobs on, oldest first from one queue ([`par::WorkerPool`]);
 //! * [`rox`] — the run-time optimizer, baselines, plan enumeration;
 //! * [`datagen`] — XMark-like and DBLP-like workload generators.
 //!
